@@ -14,7 +14,7 @@ import sys
 
 from . import checks as checks_mod
 from . import serialize as ser
-from .errors import FailedCertificate, HyperstrataError
+from .errors import FailedCertificate, FormatError, HyperstrataError
 from .graphs import NumberedGraph, genus
 from .lie import dimension, lyndon_words, normalize
 from .spectral import (
@@ -58,6 +58,19 @@ def _emit(text: str, out_path: str | None) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _int_list(text: str, flag: str, count: int | None = None) -> list[int]:
+    """The comma-separated integers of a flag value."""
+    try:
+        values = [int(x) for x in text.split(",")]
+    except ValueError:
+        values = []
+    if not values or count not in (None, len(values)):
+        size = "" if count is None else f"{count} "
+        raise FormatError(f"{flag} takes {size}comma-separated integers, "
+                          f"got {text!r}")
+    return values
 
 
 def _load_tree(path: str):
@@ -108,10 +121,11 @@ def _cmd_pushforward(args) -> int:
     from .covers import pushforward
 
     if args.tlg:
-        l_s, g_s = args.tlg.split(",")
-        t = build_T_lg(int(l_s), int(g_s))
-    else:
+        t = build_T_lg(*_int_list(args.tlg, "--tlg", 2))
+    elif args.tree:
         t = annotate(_load_tree(args.tree))
+    else:
+        raise HyperstrataError("pushforward needs --tree or --tlg")
     trace: list[str] = []
     image = pushforward(t, trace)
     payload = graph_to_json(image)
@@ -125,7 +139,7 @@ def _cmd_pushforward(args) -> int:
 
 def _cmd_lyndon(args) -> int:
     alphabet = parse_alphabet(args.alphabet) if args.alphabet else AB
-    md = tuple(int(x) for x in args.degree.split(","))
+    md = tuple(_int_list(args.degree, "--degree"))
     words = lyndon_words(alphabet, md)
     lines = list(words)
     if all(c % 2 == 0 for c in md) and sum(md):
@@ -204,9 +218,6 @@ def _cmd_check(args) -> int:
 def build_parser() -> _Parser:
     parser = _Parser(prog="hyperstrata",
                      description="Exact combinatorics of stable-curve strata")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker count (reserved; runs are deterministic "
-                             "and currently single-process)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("enumerate", help="stable tree classes of type (0,n)")

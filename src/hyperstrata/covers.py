@@ -63,14 +63,17 @@ def admissible_cover_graph(t: AnnotatedTree, trace: list[str] | None = None) -> 
         parts[u_part].add(f1)
         parts[v_part].add(f2)
 
-    for e in sorted(g.edges, key=sorted):
-        f1, f2 = sorted(e)
+    # Edges in order of their lower flag; this order numbers the cover's flags.
+    for f1 in sorted(g.sigma):
+        f2 = g.sigma[f1]
+        if f2 <= f1:
+            continue
         u, v = g.vertex_of(f1), g.vertex_of(f2)
         cu, cv = covers[u], covers[v]
         if t.parity[f1] == 1:
             new_edge(cu[0], cv[0])
             if trace is not None:
-                trace.append(f"edge {sorted(e)}: odd, one edge over it")
+                trace.append(f"edge {[f1, f2]}: odd, one edge over it")
         else:
             if len(cu) == 1 and len(cv) == 1:
                 new_edge(cu[0], cv[0])
@@ -85,7 +88,7 @@ def admissible_cover_graph(t: AnnotatedTree, trace: list[str] | None = None) -> 
                 new_edge(cu[0], cv[0])
                 new_edge(cu[1], cv[1])
             if trace is not None:
-                trace.append(f"edge {sorted(e)}: even, two edges over it")
+                trace.append(f"edge {[f1, f2]}: even, two edges over it")
 
     flags = set().union(*parts) if parts else set()
     return Graph(flags, sigma, parts, labels)
@@ -94,16 +97,16 @@ def admissible_cover_graph(t: AnnotatedTree, trace: list[str] | None = None) -> 
 def pushforward(t: AnnotatedTree, trace: list[str] | None = None) -> Graph:
     """Stabilized cover graph: the genus-g dual graph of the image curve."""
     cover = admissible_cover_graph(t, trace)
-    before = len(cover.edges)
+    before = cover.edge_count
     result = stabilize(cover)
     if trace is not None:
-        spliced = before - len(result.edges)
+        spliced = before - result.edge_count
         if spliced:
             trace.append(f"stabilize: spliced out {spliced} two-flag "
                          "rational vertices")
         trace.append(f"image: genus {genus(result)}, "
                      f"{len(result.vertices)} vertices, "
-                     f"{len(result.edges)} edges")
+                     f"{result.edge_count} edges")
     return result
 
 
@@ -160,7 +163,7 @@ def node_bound_report(g: int, k: int) -> NodeBoundReport:
         if not in_filtration(t, k):
             continue
         by_edges[cls.edge_count] = by_edges.get(cls.edge_count, 0) + 1
-        if len(pushforward(t).edges) < cls.edge_count:
+        if pushforward(t).edge_count < cls.edge_count:
             growth_ok = False
     max_edges = max(by_edges, default=0)
     return NodeBoundReport(g, k, bound, by_edges, max_edges,

@@ -37,6 +37,10 @@ class NotATree(HyperstrataError):
     """The operation requires a connected graph with first Betti number 0."""
 
 
+class UnknownLetter(HyperstrataError):
+    """A word or expression uses a letter outside the alphabet."""
+
+
 class NotLyndon(HyperstrataError):
     """The word is not a Lyndon word."""
 

@@ -6,6 +6,10 @@ nonnegative genus label on every vertex.  Loops and parallel edges are fully
 supported; a vertex may end up with an empty flag set (the dual graph of a
 smooth unmarked curve).  Values are immutable after construction and all
 operations are pure functions, so they are safe to share between workers.
+Every construction is fully validated.  The edge set and connectivity are
+computed lazily, on first use, and kept on the value.  Adjacency lists are
+rebuilt from the involution where needed rather than kept, since keeping
+them would cost memory on every graph.
 
 Flag identifiers are opaque integers; neither vertex order nor flag order
 carries meaning.  Graph identity is defined by ``canonical_form`` only.
@@ -33,7 +37,7 @@ class Graph:
     """An immutable (flags, involution, vertex partition, genus) value."""
 
     __slots__ = ("flags", "sigma", "vertices", "genus_labels",
-                 "_vertex_index", "_edges", "_leaves")
+                 "_vertex_index", "_edges", "_leaves", "_connected")
 
     def __init__(self, flags: Iterable[Flag], sigma: Mapping[Flag, Flag],
                  vertices: Iterable[Iterable[Flag]],
@@ -48,8 +52,8 @@ class Graph:
                               for f in part}
         self._leaves = tuple(sorted(f for f in self.flags
                                     if self.sigma[f] == f))
-        self._edges = frozenset(frozenset((f, p))
-                                for f, p in self.sigma.items() if p != f)
+        self._edges = None       # built by the edges property
+        self._connected = None   # set by the first is_connected call
 
     def _validate(self) -> None:
         if not self.vertices:
@@ -78,14 +82,22 @@ class Graph:
     @property
     def edges(self) -> frozenset:
         """Two-element orbits of the involution, as frozensets of flags."""
+        if self._edges is None:
+            self._edges = frozenset(frozenset((f, p))
+                                    for f, p in self.sigma.items() if p != f)
         return self._edges
+
+    @property
+    def edge_count(self) -> int:
+        """Number of edges, without building the edge set."""
+        return (len(self.flags) - len(self._leaves)) // 2
 
     def vertex_of(self, flag: Flag) -> int:
         return self._vertex_index[flag]
 
     def __repr__(self) -> str:
         return (f"Graph(flags={len(self.flags)}, vertices={len(self.vertices)}, "
-                f"edges={len(self._edges)}, leaves={len(self._leaves)}, "
+                f"edges={self.edge_count}, leaves={len(self._leaves)}, "
                 f"genus={self.genus_labels})")
 
 
@@ -121,33 +133,40 @@ def _as_graph(g: GraphLike) -> Graph:
 
 
 def _vertex_adjacency(g: Graph) -> list[list[int]]:
-    """Vertex adjacency lists (with repetition for parallel edges, loops
-    listed once per loop)."""
+    """Vertex adjacency lists from one walk over the flags: an edge is
+    listed at both ends (a loop twice at its vertex), a parallel edge once
+    per copy."""
+    index = g._vertex_index
     adj: list[list[int]] = [[] for _ in g.vertices]
-    for e in g.edges:
-        f1, f2 = sorted(e)
-        u, v = g.vertex_of(f1), g.vertex_of(f2)
-        adj[u].append(v)
-        if u != v:
-            adj[v].append(u)
+    for f, p in g.sigma.items():
+        if p != f:
+            adj[index[f]].append(index[p])
     return adj
+
+
+def _spanning_tree(adj: list[list[int]], root: int = 0
+                   ) -> tuple[list[int], list[int | None]]:
+    """Breadth-first search: the vertices reached from root in visiting
+    order, and each one's parent (root is its own parent, unreached
+    vertices have None)."""
+    parent: list[int | None] = [None] * len(adj)
+    parent[root] = root
+    order = [root]
+    for v in order:
+        for u in adj[v]:
+            if parent[u] is None:
+                parent[u] = v
+                order.append(u)
+    return order, parent
 
 
 def is_connected(g: GraphLike) -> bool:
     g = _as_graph(g)
-    nv = len(g.vertices)
-    if nv == 1:
-        return True
-    adj = _vertex_adjacency(g)
-    seen = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for u in adj[v]:
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return len(seen) == nv
+    if g._connected is None:
+        nv = len(g.vertices)
+        g._connected = (nv == 1 or
+                        len(_spanning_tree(_vertex_adjacency(g))[0]) == nv)
+    return g._connected
 
 
 def betti1(g: GraphLike) -> int:
@@ -155,7 +174,7 @@ def betti1(g: GraphLike) -> int:
     g = _as_graph(g)
     if not is_connected(g):
         raise DisconnectedGraph("betti1 requires a connected graph")
-    return len(g.edges) - len(g.vertices) + 1
+    return g.edge_count - len(g.vertices) + 1
 
 
 def genus(g: GraphLike) -> int:
@@ -334,16 +353,6 @@ def _vertex_colors(g: Graph, numbering: Mapping[Flag, int] | None,
     return colors
 
 
-def _tree_adjacency(g: Graph) -> list[list[int]]:
-    adj: list[list[int]] = [[] for _ in g.vertices]
-    for e in g.edges:
-        f1, f2 = sorted(e)
-        u, v = g.vertex_of(f1), g.vertex_of(f2)
-        adj[u].append(v)
-        adj[v].append(u)
-    return adj
-
-
 def _tree_centers(adj: list[list[int]]) -> list[int]:
     nv = len(adj)
     if nv <= 2:
@@ -373,7 +382,7 @@ def _rooted_encoding(adj, colors, root: int, parent: int | None):
 
 def _tree_canonical(g: Graph, numbering, pinned) -> tuple:
     colors = _vertex_colors(g, numbering, pinned)
-    adj = _tree_adjacency(g)
+    adj = _vertex_adjacency(g)
     centers = _tree_centers(adj)
     if len(centers) == 1:
         return ("c1", _rooted_encoding(adj, colors, centers[0], None))
@@ -386,9 +395,10 @@ def _tree_canonical(g: Graph, numbering, pinned) -> tuple:
 def _multigraph_data(g: Graph):
     mult: dict[tuple[int, int], int] = {}
     loops = [0] * len(g.vertices)
-    for e in g.edges:
-        f1, f2 = sorted(e)
-        u, v = g.vertex_of(f1), g.vertex_of(f2)
+    for f, p in g.sigma.items():
+        if f >= p:
+            continue
+        u, v = g.vertex_of(f), g.vertex_of(p)
         if u == v:
             loops[u] += 1
         else:
@@ -476,7 +486,7 @@ def canonical_form(g: GraphLike) -> bytes:
 
     comp_encodings = []
     for comp in _components(graph):
-        if len(comp.edges) - len(comp.vertices) + 1 == 0:
+        if comp.edge_count == len(comp.vertices) - 1:
             enc = ("t", _tree_canonical(comp, numbering, frozenset()))
         else:
             enc = ("m", _generic_canonical(comp, numbering, frozenset()))
@@ -486,23 +496,19 @@ def canonical_form(g: GraphLike) -> bytes:
 
 
 def _components(g: Graph) -> list[Graph]:
+    """The connected components; a connected graph is its own."""
+    if is_connected(g):
+        return [g]
     adj = _vertex_adjacency(g)
     seen: set[int] = set()
     out = []
     for start in range(len(g.vertices)):
         if start in seen:
             continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for u in adj[v]:
-                if u not in comp:
-                    comp.add(u)
-                    stack.append(u)
-        seen |= comp
+        comp = _spanning_tree(adj, start)[0]
+        seen.update(comp)
         idx = sorted(comp)
-        flags = set().union(*(g.vertices[i] for i in idx)) if idx else set()
+        flags = set().union(*(g.vertices[i] for i in idx))
         sigma = {f: g.sigma[f] for f in flags}
         out.append(Graph(flags, sigma, [g.vertices[i] for i in idx],
                          [g.genus_labels[i] for i in idx]))
@@ -537,7 +543,7 @@ def _rooted_aut(adj, colors, root: int, parent: int | None) -> tuple[tuple, int]
 
 def _tree_aut_count(g: Graph, pinned: frozenset[Flag]) -> int:
     colors = _vertex_colors(g, None, pinned)
-    adj = _tree_adjacency(g)
+    adj = _vertex_adjacency(g)
     centers = _tree_centers(adj)
     if len(centers) == 1:
         return _rooted_aut(adj, colors, centers[0], None)[1]
@@ -602,11 +608,9 @@ def automorphism_count(g: GraphLike, fixed_leaves: Iterable[Flag] = ()) -> int:
     pinned = frozenset(int(f) for f in fixed_leaves)
     if not pinned <= set(graph.leaves):
         raise InvalidGraph("fixed_leaves must be leaves of the graph")
-    if is_connected(graph) and len(graph.edges) - len(graph.vertices) + 1 == 0:
-        return _tree_aut_count(graph, pinned)
     total = 1
     for comp in _components(graph):
-        if len(comp.edges) - len(comp.vertices) + 1 == 0:
+        if comp.edge_count == len(comp.vertices) - 1:
             total *= _tree_aut_count(comp, pinned & comp.flags)
         else:
             total *= _generic_aut_count(comp, pinned & comp.flags)
@@ -621,7 +625,7 @@ def leq(g1: GraphLike, g2: GraphLike) -> bool:
         raise TypeMismatch(f"{graph_type(g1)} vs {graph_type(g2)}")
     target = canonical_form(g2)
     edges = sorted(tuple(sorted(e)) for e in _as_graph(g1).edges)
-    need = len(edges) - len(_as_graph(g2).edges)
+    need = len(edges) - _as_graph(g2).edge_count
     if need < 0:
         return False
     seen = set()

@@ -27,7 +27,8 @@ from functools import lru_cache
 from math import gcd
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
-from .errors import MixedMultidegree, NotLyndon, TooLarge
+from .errors import (MixedMultidegree, NotLyndon, OutOfRange, TooLarge,
+                     UnknownLetter)
 
 BracketExpr = Union[str, tuple]
 _Key = tuple  # ("w", word) or ("sq", word); word = tuple of letter indices
@@ -52,13 +53,17 @@ class GradedAlphabet:
         return len(self.letters)
 
     def index(self, letter: str) -> int:
-        return self._index[letter]
+        try:
+            return self._index[letter]
+        except KeyError:
+            raise UnknownLetter(f"letter {letter!r} is not in the alphabet "
+                                f"{''.join(self.letters)!r}") from None
 
     def key(self, word) -> tuple[int, ...]:
         """Convert a word (string or letter sequence) to an index tuple."""
         if isinstance(word, str):
-            return tuple(self._index[c] for c in word)
-        return tuple(self._index[c] if isinstance(c, str) else int(c)
+            return tuple(self.index(c) for c in word)
+        return tuple(self.index(c) if isinstance(c, str) else int(c)
                      for c in word)
 
     def text(self, word_key: tuple[int, ...]) -> str:
@@ -197,10 +202,13 @@ def _multiset_permutations(counts: list[int]) -> Iterable[tuple[int, ...]]:
 
 def _as_counts(alphabet: GradedAlphabet, multidegree) -> list[int]:
     if isinstance(multidegree, Mapping):
-        return [int(multidegree.get(x, 0)) for x in alphabet.letters]
-    counts = [int(c) for c in multidegree]
-    if len(counts) != len(alphabet):
-        raise ValueError("multidegree must align with the alphabet")
+        counts = [int(multidegree.get(x, 0)) for x in alphabet.letters]
+    else:
+        counts = [int(c) for c in multidegree]
+    if len(counts) != len(alphabet) or min(counts, default=0) < 0:
+        raise OutOfRange(f"multidegree {tuple(counts)} needs one nonnegative "
+                         f"count per letter of the {len(alphabet)}-letter "
+                         "alphabet")
     return counts
 
 
@@ -208,7 +216,7 @@ def lyndon_words(alphabet: GradedAlphabet, multidegree) -> list[str]:
     """All Lyndon words with exactly the given letter counts, in lex order."""
     counts = _as_counts(alphabet, multidegree)
     if sum(counts) < 1:
-        raise ValueError("multidegree total must be at least 1")
+        raise OutOfRange("multidegree total must be at least 1")
     return [alphabet.text(w) for w in _multiset_permutations(counts)
             if _is_lyndon_key(w)]
 

@@ -30,11 +30,12 @@ from .errors import (
 from .graphs import (
     Graph,
     NumberedGraph,
+    _spanning_tree,
+    _tree_centers,
+    _vertex_adjacency,
     automorphism_count,
-    betti1,
     canonical_form,
     graph_type,
-    is_connected,
 )
 
 MAX_LEAVES = 12
@@ -65,7 +66,7 @@ class AnnotatedTree:
 
     @property
     def edge_count(self) -> int:
-        return len(self.tree.graph.edges)
+        return self.tree.graph.edge_count
 
     @property
     def leaf_count(self) -> int:
@@ -102,31 +103,6 @@ class StratumClass:
                 f"orbit={self.orbit_size}, profile={self.profile()})")
 
 
-def _rooted_tree_structure(g: Graph):
-    """Per-vertex children lists and parent edges for the tree rooted at 0."""
-    adj: list[list[tuple[int, frozenset]]] = [[] for _ in g.vertices]
-    for e in g.edges:
-        f1, f2 = sorted(e)
-        u, v = g.vertex_of(f1), g.vertex_of(f2)
-        adj[u].append((v, e))
-        adj[v].append((u, e))
-    parent: list[Optional[int]] = [None] * len(g.vertices)
-    parent_edge: list[Optional[frozenset]] = [None] * len(g.vertices)
-    order = [0]
-    seen = {0}
-    queue = [0]
-    while queue:
-        v = queue.pop()
-        for u, e in adj[v]:
-            if u not in seen:
-                seen.add(u)
-                parent[u] = v
-                parent_edge[u] = e
-                order.append(u)
-                queue.append(u)
-    return order, parent, parent_edge
-
-
 def annotate(t: NumberedGraph) -> AnnotatedTree:
     """Attach edge parities and the rho/nu/internal counts to a tree.
 
@@ -135,31 +111,27 @@ def annotate(t: NumberedGraph) -> AnnotatedTree:
     leaves is even.
     """
     g = t.graph
-    if not is_connected(g) or betti1(g) != 0:
+    order, parent = _spanning_tree(_vertex_adjacency(g))
+    nv = len(g.vertices)
+    if len(order) != nv or g.edge_count != nv - 1:
         raise NotATree("annotation requires a connected tree")
     n = len(g.leaves)
     if n % 2:
         raise OddLeafTotal(f"edge parity is undefined for {n} leaves")
 
-    order, parent, parent_edge = _rooted_tree_structure(g)
-    own_leaves = [sum(1 for f in part if g.sigma[f] == f) for part in g.vertices]
-    subtree = list(own_leaves)
-    for v in reversed(order):
-        if parent[v] is not None:
-            subtree[parent[v]] += subtree[v]
+    subtree = [sum(1 for f in part if g.sigma[f] == f) for part in g.vertices]
+    for v in reversed(order[1:]):
+        subtree[parent[v]] += subtree[v]
 
-    edge_parity: dict[frozenset, int] = {}
-    for v in order:
-        if parent_edge[v] is not None:
-            edge_parity[parent_edge[v]] = subtree[v] % 2
-
+    # An edge takes the parity of the leaf count below its child end.
     parity: dict[int, int] = {}
     for f in g.flags:
         p = g.sigma[f]
         if p == f:
             parity[f] = 1
         else:
-            parity[f] = edge_parity[frozenset((f, p))]
+            u, v = g.vertex_of(f), g.vertex_of(p)
+            parity[f] = subtree[v if parent[v] == u else u] % 2
 
     rho, nu = [], []
     for part in g.vertices:
@@ -177,7 +149,7 @@ def is_good(t: AnnotatedTree) -> bool:
 def stratum_dimension(t) -> int:
     """Dimension n - 3 - r of the stratum of a stable tree with r edges."""
     g = t.graph if isinstance(t, (NumberedGraph, AnnotatedTree)) else t
-    return len(g.leaves) - 3 - len(g.edges)
+    return len(g.leaves) - 3 - g.edge_count
 
 
 # --------------------------------------------------------------------------
@@ -341,7 +313,7 @@ def orbit_representatives(trees: list[NumberedGraph]) -> list[StratumClass]:
         orbit, rem = divmod(factorial(n), aut)
         if rem:
             raise InvalidGraph("automorphism order must divide n!")
-        out.append(StratumClass(rep, len(rep.graph.edges), orbit, key))
+        out.append(StratumClass(rep, rep.graph.edge_count, orbit, key))
     return sorted(out, key=lambda c: (c.edge_count, c.canonical_key))
 
 
@@ -355,24 +327,7 @@ def _shape_encoding(adj, root: int, parent: int) -> tuple:
 
 
 def _shape_canonical(adj) -> tuple:
-    nv = len(adj)
-    if nv == 1:
-        return ((),)
-    degree = [len(a) for a in adj]
-    layer = [v for v in range(nv) if degree[v] == 1]
-    removed = len(layer)
-    while removed < nv:
-        nxt = []
-        for v in layer:
-            for u in adj[v]:
-                degree[u] -= 1
-                if degree[u] == 1:
-                    nxt.append(u)
-        if not nxt:
-            break
-        removed += len(nxt)
-        layer = nxt
-    centers = sorted(layer)
+    centers = _tree_centers(adj)
     if len(centers) == 1:
         return ("1", _shape_encoding(adj, centers[0], -1))
     a, b = centers

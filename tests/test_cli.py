@@ -138,6 +138,23 @@ def test_usage_errors_exit_two(capsys):
     assert code == 2 and "hint" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("pushforward", "--tlg", "2"),
+    ("pushforward", "--tlg", "a,b"),
+    ("pushforward",),
+    ("lyndon", "--degree", "x"),
+    ("lyndon", "--degree", "0,0"),
+    ("lyndon", "--degree", "3,2,1"),
+    ("lyndon", "--degree=-1,3"),
+    ("normalize", "--expr", "[a,c]"),
+    ("d1", "--genus", "3", "--word", "abc"),
+])
+def test_bad_input_exits_two_without_traceback(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "Traceback" not in err and "hint" in err
+
+
 def test_out_flag_writes_file(capsys, tmp_path):
     target = tmp_path / "out.json"
     code, out, _ = run_cli(capsys, "certify", "--genus", "2",

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 
@@ -47,8 +48,11 @@ def test_betti1_tree_and_loop():
 
 def test_betti1_rejects_disconnected():
     g = Graph([1, 2], {}, [{1}, {2}], [0, 0])
-    with pytest.raises(DisconnectedGraph):
-        betti1(g)
+    # connectivity is computed once and kept; repeated calls must agree
+    for _ in range(3):
+        assert not is_connected(g)
+        with pytest.raises(DisconnectedGraph):
+            betti1(g)
 
 
 def test_genus_examples():
@@ -143,8 +147,29 @@ def test_contract_everything_keeps_genus():
 
 def test_contract_unknown_edge():
     g = two_vertex_triple_edge()
+    assert g._edges is None             # the edge set is not built yet
     with pytest.raises(UnknownEdge):
         contract_edges(g, [frozenset({1, 2})])
+
+
+def _eager_edges(g: Graph) -> frozenset:
+    return frozenset(frozenset((f, p)) for f, p in g.sigma.items() if p != f)
+
+
+def test_lazy_edges_match_the_involution():
+    from hyperstrata.covers import pushforward
+    from hyperstrata.trees import enumerate_trees, unnumbered_classes
+
+    # fresh graphs: the session fixtures may have built their edge sets
+    trees = [t.graph for t in enumerate_trees(6)]
+    images = [pushforward(c.annotated()) for c in unnumbered_classes(8)]
+    assert all(g._edges is None for g in trees + images)
+    contracted = [contract_edges(g, [e]) for g in trees[:50] + images[:50]
+                  for e in sorted(_eager_edges(g), key=sorted)[:1]]
+    assert all(g._edges is None for g in contracted)
+    for g in trees + images + contracted:
+        assert g.edges == _eager_edges(g)
+        assert len(g.edges) == g.edge_count
 
 
 def test_contract_genus_invariance_exhaustive(numbered):
@@ -205,6 +230,98 @@ def test_canonical_form_relabeling_invariance():
     for _ in range(1000):
         g = _random_connected_graph(rng)
         assert canonical_form(_relabel(g, rng)) == canonical_form(g)
+
+
+def _pendant_tree(k: int) -> NumberedGraph:
+    # a centre with k three-leaf satellites, one two-leaf satellite and
+    # k mod 2 leaves of its own; the image has k interchangeable pendants
+    sizes = [3] * k + [2]
+    n = sum(sizes) + k % 2
+    centre = set(range(n - k % 2 + 1, n + 1))
+    parts, sigma = [centre], {}
+    leaf, flag = 1, n + 1
+    for size in sizes:
+        sigma[flag], sigma[flag + 1] = flag + 1, flag
+        centre.add(flag)
+        parts.append(set(range(leaf, leaf + size)) | {flag + 1})
+        leaf, flag = leaf + size, flag + 2
+    graph = Graph(set().union(*parts), sigma, parts, [0] * len(parts))
+    return NumberedGraph(graph, {i: i for i in range(1, n + 1)})
+
+
+# SHA-256 of the concatenated canonical bytes of four graph families.  The
+# bytes order the CLI's enumerate output and key stored classes, so a faster
+# kernel must reproduce them exactly.
+PINNED_CANONICAL_SHA = {
+    "trees6": "91add1421ced7e8d1bd383bd70a74ed2db953185ca487ad732b1483284e302d9",
+    "trees7": "67be0f8299fa9cb250438f0078cf0846f5e5bfa18bb7493905f184831bedcfbe",
+    "images10": "bb5b54b5e92e62f96ea01949984cd9f5c15414d0d9a7f8ab8c1accba6ca93609",
+    "pendants": "7d86d1104ee119c926391fcfec524bd4c1c7db8f06bab8ba60efe7e180454c18",
+}
+
+
+def test_canonical_bytes_are_pinned(numbered):
+    from hyperstrata.covers import pushforward
+    from hyperstrata.trees import annotate, unnumbered_classes
+
+    families = {
+        "trees6": numbered(6),
+        "trees7": numbered(7),
+        "images10": [pushforward(c.annotated())
+                     for c in unnumbered_classes(10)],
+        "pendants": [pushforward(annotate(_pendant_tree(k)))
+                     for k in range(4, 7)],
+    }
+    digests = {name: hashlib.sha256(b"".join(map(canonical_form, graphs)))
+               .hexdigest() for name, graphs in families.items()}
+    assert digests == PINNED_CANONICAL_SHA
+
+
+def _random_multigraph(rng: random.Random) -> Graph:
+    # few flags and vertices, so independent draws are often isomorphic
+    n_flags = rng.randint(0, 7)
+    flags = list(range(1, n_flags + 1))
+    rng.shuffle(flags)
+    sigma = {}
+    for _ in range(rng.randint(0, n_flags // 2)):
+        a, b = flags.pop(), flags.pop()
+        sigma[a], sigma[b] = b, a
+    parts = [set() for _ in range(rng.randint(1, 3))]
+    for f in range(1, n_flags + 1):
+        parts[rng.randrange(len(parts))].add(f)
+    return Graph(range(1, n_flags + 1), sigma, parts,
+                 [rng.randint(0, 1) for _ in parts])
+
+
+def _to_networkx(g: Graph, nx):
+    m = nx.MultiGraph()
+    for v, (part, label) in enumerate(zip(g.vertices, g.genus_labels)):
+        m.add_node(v, colour=(label, sum(1 for f in part if g.sigma[f] == f)))
+    for f, p in g.sigma.items():
+        if f < p:
+            m.add_edge(g.vertex_of(f), g.vertex_of(p))
+    return m
+
+
+def test_canonical_form_agrees_with_networkx_isomorphism():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(20261018)
+    pool = [_random_multigraph(rng) for _ in range(90)]
+    pool += [_relabel(g, rng) for g in pool[:30]]
+    forms = [canonical_form(g) for g in pool]
+    nets = [_to_networkx(g, nx) for g in pool]
+    assert any(not is_connected(g) for g in pool)
+    assert any(nx.number_of_selfloops(m) for m in nets)
+    assert any(m.number_of_edges() > nx.Graph(m).number_of_edges()
+               for m in nets if not nx.number_of_selfloops(m))
+    same_colour = nx.algorithms.isomorphism.categorical_node_match("colour",
+                                                                     None)
+    equal_pairs = 0
+    for i, j in itertools.combinations(range(len(pool)), 2):
+        iso = nx.is_isomorphic(nets[i], nets[j], node_match=same_colour)
+        assert (forms[i] == forms[j]) == iso, (pool[i], pool[j])
+        equal_pairs += iso
+    assert equal_pairs > 30
 
 
 def test_canonical_form_distinguishes_shapes():
