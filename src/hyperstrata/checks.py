@@ -178,7 +178,7 @@ QUICK = [
 
 FULL = [
     ("base-case-differentials", check_base_case_differentials),
-    ("leading-terms", lambda: check_leading_terms(10)),
+    ("leading-terms", lambda: check_leading_terms(40)),
     ("certificates", lambda: check_certificates(8)),
     ("lyndon-vs-oracle", lambda: check_lyndon_oracle(7)),
     ("filtration-vs-good", lambda: check_filtration(4)),

@@ -75,7 +75,10 @@ def _int_list(text: str, flag: str, count: int | None = None) -> list[int]:
 
 def _load_tree(path: str):
     with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except ValueError as exc:
+            raise FormatError(f"{path} is not JSON: {exc}") from None
     tree = ser.graph_from_json(payload)
     if not isinstance(tree, NumberedGraph):
         raise HyperstrataError("input file must carry a leaf numbering")
@@ -162,8 +165,7 @@ def _cmd_normalize(args) -> int:
 def _cmd_d1(args) -> int:
     g = args.genus
     if args.word:
-        level = args.level if args.level is not None else args.word.count("b")
-        x = VSpaceElement(g, level, basis_vector(args.word, AB))
+        x = VSpaceElement(g, args.word.count("b"), basis_vector(args.word, AB))
     else:
         x = omega(g)
     image = d1(x)
@@ -257,7 +259,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("d1", help="first-page differential")
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--word", help="basis word (default: the top generator)")
-    p.add_argument("--level", type=int, default=None)
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_d1)
 
@@ -286,13 +287,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except HyperstrataError as exc:
+    except (HyperstrataError, OSError) as exc:
         print(f"hyperstrata: error: {exc}", file=sys.stderr)
         print("hint: see 'hyperstrata <command> --help' for usage",
               file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"hyperstrata: error: {exc}", file=sys.stderr)
         return 2
 
 

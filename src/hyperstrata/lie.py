@@ -372,6 +372,17 @@ def _bracket_keys(degrees: tuple[int, ...], k1: _Key, k2: _Key) -> tuple:
     return tuple(sorted((k, c) for k, c in acc.items() if c))
 
 
+def _bracket_terms(degrees: tuple[int, ...], x: Mapping, y: Mapping) -> dict:
+    """[x, y] for combinations of basis keys given as key -> coefficient
+    (integers or Fractions); zero coefficients are dropped."""
+    acc: dict = {}
+    for k1, c1 in x.items():
+        for k2, c2 in y.items():
+            for key, c in _bracket_keys(degrees, k1, k2):
+                acc[key] = acc.get(key, 0) + c1 * c2 * c
+    return {k: c for k, c in acc.items() if c}
+
+
 # --------------------------------------------------------------------------
 # Normalization of bracket expressions.
 # --------------------------------------------------------------------------
@@ -403,14 +414,8 @@ def _expr_multidegree(node, nletters: int) -> tuple[int, ...]:
 def _normalize_node(degrees: tuple[int, ...], node) -> dict[_Key, int]:
     if isinstance(node, int):
         return {("w", (node,)): 1}
-    left = _normalize_node(degrees, node[0])
-    right = _normalize_node(degrees, node[1])
-    acc: dict[_Key, int] = {}
-    for k1, c1 in left.items():
-        for k2, c2 in right.items():
-            for key, c in _bracket_keys(degrees, k1, k2):
-                acc[key] = acc.get(key, 0) + c1 * c2 * c
-    return {k: c for k, c in acc.items() if c}
+    return _bracket_terms(degrees, _normalize_node(degrees, node[0]),
+                          _normalize_node(degrees, node[1]))
 
 
 def normalize(expr, alphabet: GradedAlphabet) -> LieVector:
@@ -456,13 +461,8 @@ def bracket(x: LieVector, y: LieVector) -> LieVector:
     """Bilinear extension of the basis bracket."""
     if x.alphabet.letters != y.alphabet.letters:
         raise ValueError("vectors live over different alphabets")
-    degrees = x.alphabet.degrees
-    acc: dict[_Key, Fraction] = {}
-    for k1, c1 in x.terms.items():
-        for k2, c2 in y.terms.items():
-            for key, c in _bracket_keys(degrees, k1, k2):
-                acc[key] = acc.get(key, Fraction(0)) + c1 * c2 * c
-    return LieVector(x.alphabet, acc)
+    return LieVector(x.alphabet,
+                     _bracket_terms(x.alphabet.degrees, x.terms, y.terms))
 
 
 # --------------------------------------------------------------------------

@@ -43,6 +43,9 @@ def graph_to_json(g) -> dict:
 
 
 def graph_from_json(payload: dict):
+    if not isinstance(payload, dict):
+        raise FormatError("a graph payload is a JSON object, not "
+                          f"{type(payload).__name__}")
     try:
         if payload.get("format") != FORMAT:
             raise FormatError(f"unsupported format {payload.get('format')!r}")
@@ -53,12 +56,12 @@ def graph_from_json(payload: dict):
             sigma[int(b)] = int(a)
         vertices = [[int(f) for f in part] for part in payload["vertices"]]
         genus_labels = [int(x) for x in payload["genus"]]
-    except (KeyError, TypeError, ValueError) as exc:
+        numbering = {int(f): int(n)
+                     for f, n in payload.get("leaf_numbering", {}).items()}
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed graph payload: {exc}") from exc
     graph = Graph(flags, sigma, vertices, genus_labels)
     if "leaf_numbering" in payload:
-        numbering = {int(f): int(n)
-                     for f, n in payload["leaf_numbering"].items()}
         return NumberedGraph(graph, numbering)
     return graph
 

@@ -148,11 +148,26 @@ def test_usage_errors_exit_two(capsys):
     ("lyndon", "--degree=-1,3"),
     ("normalize", "--expr", "[a,c]"),
     ("d1", "--genus", "3", "--word", "abc"),
+    ("pushforward", "--tree", "."),
+    ("certify", "--genus", "2", "--out", "."),
 ])
 def test_bad_input_exits_two_without_traceback(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert "Traceback" not in err and "hint" in err
+
+
+def test_bad_tree_file_exits_two_without_traceback(capsys, tmp_path):
+    numbered = graph_to_json(build_T_lg(1, 2).tree)
+    contents = {"text.json": "not json", "list.json": "[1, 2]",
+                "numbering.json": json.dumps({**numbered,
+                                              "leaf_numbering": [1, 2]})}
+    for name, text in contents.items():
+        path = tmp_path / name
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "annotate", "--tree", str(path))
+        assert code == 2 and out == "", name
+        assert "Traceback" not in err and "hint" in err, name
 
 
 def test_out_flag_writes_file(capsys, tmp_path):

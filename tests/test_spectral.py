@@ -1,15 +1,18 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import count
 from math import factorial
 
 import pytest
 
 from hyperstrata.errors import LevelZero, OutOfRange
 from hyperstrata.graphs import automorphism_count
-from hyperstrata.lie import basis_vector, lyndon_words
+from hyperstrata.lie import (basis_vector, lyndon_words, normalize,
+                             standard_bracketing)
 from hyperstrata.spectral import (
     AB,
+    AB_ODD,
     Certificate,
     VSpaceElement,
     betti_m0n,
@@ -50,12 +53,42 @@ def test_d1_multidegree_shift():
 
 
 def test_d1_squares_to_zero_on_all_components():
-    for g in range(2, 7):
+    for g in range(2, 9):
         for l in range(2, g + 1):
             md = (2 * g - 2 * l + 1, l)
             for w in lyndon_words(AB, md):
                 x = VSpaceElement(g, l, basis_vector(w, AB))
                 assert d1(d1(x)).is_zero(), (g, l, w)
+    assert d1(d1(omega(40))).is_zero()
+
+
+def _replace_leaf(expr, target: int):
+    """expr with its target-th leaf (left to right) replaced by [a, a]."""
+    leaves = count()
+
+    def walk(node):
+        if isinstance(node, str):
+            return ("a", "a") if next(leaves) == target else node
+        return (walk(node[0]), walk(node[1]))
+
+    return walk(expr)
+
+
+def test_d1_matches_the_substitution_definition():
+    # Independent of the derivation: substitute [a, a] for one b at a time
+    # in the standard bracketing, sign -(-1)^p, normalize in the odd model.
+    words = 0
+    for g in range(2, 9):
+        for l in range(1, g + 1):
+            for w in lyndon_words(AB, (2 * g - 2 * l + 1, l)):
+                tree = standard_bracketing(w, AB)
+                expected = normalize([(-(-1) ** p, _replace_leaf(tree, p))
+                                      for p, x in enumerate(w) if x == "b"],
+                                     AB_ODD)
+                got = d1(VSpaceElement(g, l, basis_vector(w, AB))).vector
+                assert got.terms == expected.terms, (g, l, w)
+                words += 1
+    assert words == 372
 
 
 def test_leading_terms_follow_parity_split():
@@ -79,6 +112,16 @@ def test_leading_terms_specific_values():
     assert g4.coefficient_a3 == 2 and g4.coefficient_a2bab == 2
     g5 = verify_leading_terms(5)
     assert g5.coefficient_a3 == 0 and g5.coefficient_a2bab == 4
+
+
+def test_leading_terms_at_large_genus():
+    for g in (16, 24):
+        rep = verify_leading_terms(g)
+        assert rep.ok, g
+        assert rep.coefficient_a3 == 2 and rep.coefficient_a2bab == g - 2
+    assert verify_leading_terms(40).ok
+    with pytest.raises(OutOfRange):
+        verify_leading_terms(41)
 
 
 def test_certificate_structure():
