@@ -18,6 +18,7 @@ carries meaning.  Graph identity is defined by ``canonical_form`` only.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from math import factorial
 from typing import Iterable, Mapping, NamedTuple, Union
 
@@ -328,10 +329,19 @@ def contract_edges(g: GraphLike, edges_to_contract) -> GraphLike:
 # --------------------------------------------------------------------------
 # Canonical forms.
 #
-# Trees are encoded by rooting at the (1- or 2-vertex) center and hashing
-# subtree structure bottom-up; general multigraphs go through colour
-# refinement with backtracking on ties.  Graphs in this project stay small
-# (well under ~30 flags), so worst-case backtracking is acceptable.
+# Each connected component is encoded on its own, from its vertex adjacency
+# and vertex colours (genus, anonymous-leaf count, numbered or pinned leaf
+# labels).  Trees are rooted at their (1- or 2-vertex) center and encoded
+# bottom-up.  General multigraphs go through one individualization-
+# refinement search that serves both canonical_form and automorphism_count.
+# Its invariant: the least leaf encoding is the canonical form, and the
+# number of leaves reaching it is the number of vertex automorphisms (Aut
+# acts freely on the discrete leaves, and two leaves with equal encodings
+# differ by an automorphism).  Twins, vertices of one cell with the same
+# multiplicity to every third vertex, are branched on once and weighted by
+# their class size: swapping two twins is an automorphism fixing everything
+# else, so their subtrees give the same encodings.  Interchangeable pendants
+# therefore cost no k!.
 # --------------------------------------------------------------------------
 
 def _vertex_colors(g: Graph, numbering: Mapping[Flag, int] | None,
@@ -380,9 +390,7 @@ def _rooted_encoding(adj, colors, root: int, parent: int | None):
     return (colors[root], children)
 
 
-def _tree_canonical(g: Graph, numbering, pinned) -> tuple:
-    colors = _vertex_colors(g, numbering, pinned)
-    adj = _vertex_adjacency(g)
+def _tree_canonical(adj, colors) -> tuple:
     centers = _tree_centers(adj)
     if len(centers) == 1:
         return ("c1", _rooted_encoding(adj, colors, centers[0], None))
@@ -392,35 +400,13 @@ def _tree_canonical(g: Graph, numbering, pinned) -> tuple:
     return ("c2", tuple(halves))
 
 
-def _multigraph_data(g: Graph):
-    mult: dict[tuple[int, int], int] = {}
-    loops = [0] * len(g.vertices)
-    for f, p in g.sigma.items():
-        if f >= p:
-            continue
-        u, v = g.vertex_of(f), g.vertex_of(p)
-        if u == v:
-            loops[u] += 1
-        else:
-            key = (min(u, v), max(u, v))
-            mult[key] = mult.get(key, 0) + 1
-    return mult, loops
-
-
-def _refine(colors: list[int], mult, loops) -> list[int]:
+def _refine(colors: list[int], rows, loops) -> list[int]:
     # Colour refinement only ever splits classes, so it stabilizes once the
     # class count stops growing.
-    nv = len(colors)
     while True:
-        sigs = []
-        for v in range(nv):
-            nb = []
-            for (a, b), m in mult.items():
-                if a == v:
-                    nb.append((m, colors[b]))
-                elif b == v:
-                    nb.append((m, colors[a]))
-            sigs.append((colors[v], loops[v], tuple(sorted(nb))))
+        sigs = [(colors[v], loops[v],
+                 tuple(sorted((m, colors[u]) for u, m in row.items())))
+                for v, row in enumerate(rows)]
         order = {s: i for i, s in enumerate(sorted(set(sigs)))}
         new = [order[s] for s in sigs]
         if len(set(new)) == len(set(colors)):
@@ -428,49 +414,66 @@ def _refine(colors: list[int], mult, loops) -> list[int]:
         colors = new
 
 
-def _encode_ordered(base_colors, mult, loops, order: list[int]) -> tuple:
-    pos = {v: i for i, v in enumerate(order)}
-    edge_list = sorted((min(pos[a], pos[b]), max(pos[a], pos[b]), m)
-                       for (a, b), m in mult.items())
-    return (tuple(base_colors[v] for v in order),
-            tuple(loops[v] for v in order),
-            tuple(edge_list))
-
-
-def _generic_canonical(g: Graph, numbering, pinned) -> tuple:
-    base_colors = _vertex_colors(g, numbering, pinned)
-    mult, loops = _multigraph_data(g)
-    nv = len(g.vertices)
-    init_order = {c: i for i, c in enumerate(sorted(set(base_colors)))}
-    start = [init_order[c] for c in base_colors]
-
-    best: list[tuple | None] = [None]
-
-    def search(colors: list[int]) -> None:
-        colors = _refine(colors, mult, loops)
-        classes: dict[int, list[int]] = {}
-        for v, c in enumerate(colors):
-            classes.setdefault(c, []).append(v)
-        target = None
-        for c in sorted(classes):
-            if len(classes[c]) > 1:
-                target = classes[c]
+def _twin_classes(cell: list[int], rows) -> list[list[int]]:
+    """Split a refined colour cell, whose members already agree on colour
+    and loop count, into twin classes.  Twinship is an equivalence
+    relation, so each vertex is compared with one member per class."""
+    classes: list[list[int]] = []
+    for v in cell:
+        for cls in classes:
+            u = cls[0]
+            if {w: m for w, m in rows[u].items() if w != v} == \
+                    {w: m for w, m in rows[v].items() if w != u}:
+                cls.append(v)
                 break
-        if target is None:
-            order = sorted(range(nv), key=lambda v: colors[v])
-            enc = _encode_ordered(base_colors, mult, loops, order)
-            if best[0] is None or enc < best[0]:
-                best[0] = enc
-            return
-        fresh = max(colors) + 1
-        for v in target:
-            branch = list(colors)
-            branch[v] = fresh
-            search(branch)
+        else:
+            classes.append([v])
+    return classes
 
-    search(start)
-    assert best[0] is not None
-    return best[0]
+
+def _generic_search(adj, base_colors) -> tuple[tuple, int]:
+    """The least leaf encoding of the individualization-refinement tree and
+    the automorphism order (leaves reaching it, times the flag lift)."""
+    nv = len(adj)
+    rows = [Counter(a) for a in adj]    # neighbour -> edge multiplicity
+    loops = [row.pop(v, 0) // 2 for v, row in enumerate(rows)]
+    edges = [(a, b, m) for a, row in enumerate(rows)
+             for b, m in row.items() if a < b]
+
+    def search(colors: list[int]) -> tuple[tuple, int]:
+        colors = _refine(colors, rows, loops)
+        cells: dict[int, list[int]] = {}
+        for v, c in enumerate(colors):
+            cells.setdefault(c, []).append(v)
+        target = next((cells[c] for c in sorted(cells)
+                       if len(cells[c]) > 1), None)
+        if target is None:
+            pos = sorted(range(nv), key=colors.__getitem__)
+            at = {v: i for i, v in enumerate(pos)}
+            return ((tuple(base_colors[v] for v in pos),
+                     tuple(loops[v] for v in pos),
+                     tuple(sorted((min(at[a], at[b]), max(at[a], at[b]), m)
+                                  for a, b, m in edges))), 1)
+        best, count = None, 0
+        fresh = max(colors) + 1
+        for cls in _twin_classes(target, rows):
+            branch = list(colors)
+            branch[cls[0]] = fresh
+            enc, leaves = search(branch)
+            if best is None or enc < best:
+                best, count = enc, leaves * len(cls)
+            elif enc == best:
+                count += leaves * len(cls)
+        return best, count
+
+    init = {c: i for i, c in enumerate(sorted(set(base_colors)))}
+    best, count = search([init[c] for c in base_colors])
+    for _, _, m in edges:
+        count *= factorial(m)
+    for v in range(nv):
+        count *= factorial(loops[v]) * 2 ** loops[v]
+        count *= factorial(base_colors[v][1])
+    return best, count
 
 
 def canonical_form(g: GraphLike) -> bytes:
@@ -485,21 +488,26 @@ def canonical_form(g: GraphLike) -> bytes:
     prefix = "NG" if numbered else "G"
 
     comp_encodings = []
-    for comp in _components(graph):
-        if comp.edge_count == len(comp.vertices) - 1:
-            enc = ("t", _tree_canonical(comp, numbering, frozenset()))
+    for comp, adj in _components(graph):
+        colors = _vertex_colors(comp, numbering, frozenset())
+        if comp.edge_count == len(adj) - 1:
+            enc = ("t", _tree_canonical(adj, colors))
         else:
-            enc = ("m", _generic_canonical(comp, numbering, frozenset()))
+            enc = ("m", _generic_search(adj, colors)[0])
         comp_encodings.append(enc)
     payload = (prefix, tuple(sorted(comp_encodings)))
     return repr(payload).encode("ascii")
 
 
-def _components(g: Graph) -> list[Graph]:
-    """The connected components; a connected graph is its own."""
-    if is_connected(g):
-        return [g]
+def _components(g: Graph) -> list[tuple[Graph, list[list[int]]]]:
+    """The connected components with their vertex adjacency; a connected
+    graph is its own.  The adjacency is built once and also settles the
+    graph's connectivity."""
     adj = _vertex_adjacency(g)
+    if g._connected is None:
+        g._connected = len(_spanning_tree(adj)[0]) == len(adj)
+    if g._connected:
+        return [(g, adj)]
     seen: set[int] = set()
     out = []
     for start in range(len(g.vertices)):
@@ -510,8 +518,9 @@ def _components(g: Graph) -> list[Graph]:
         idx = sorted(comp)
         flags = set().union(*(g.vertices[i] for i in idx))
         sigma = {f: g.sigma[f] for f in flags}
-        out.append(Graph(flags, sigma, [g.vertices[i] for i in idx],
-                         [g.genus_labels[i] for i in idx]))
+        sub = Graph(flags, sigma, [g.vertices[i] for i in idx],
+                    [g.genus_labels[i] for i in idx])
+        out.append((sub, _vertex_adjacency(sub)))
     return out
 
 
@@ -522,6 +531,11 @@ def _components(g: Graph) -> list[Graph]:
 # edge multiplicities lifts to exactly the same number of flag maps, namely
 # the product of (unlabelled-leaf count)! per vertex, (parallel-edge
 # count)! per vertex pair, and (loop count)! * 2^(loop count) per vertex.
+# On a multigraph the vertex maps are counted by the canonical search above.
+# Isomorphic components of a disconnected graph may also be permuted, which
+# multiplies the count by m! for each class of m equal component encodings;
+# a pinned leaf is part of its component's colours, so that component never
+# moves.
 # --------------------------------------------------------------------------
 
 def _rooted_aut(adj, colors, root: int, parent: int | None) -> tuple[tuple, int]:
@@ -541,9 +555,7 @@ def _rooted_aut(adj, colors, root: int, parent: int | None) -> tuple[tuple, int]
     return enc, count
 
 
-def _tree_aut_count(g: Graph, pinned: frozenset[Flag]) -> int:
-    colors = _vertex_colors(g, None, pinned)
-    adj = _vertex_adjacency(g)
+def _tree_aut_count(adj, colors) -> int:
     centers = _tree_centers(adj)
     if len(centers) == 1:
         return _rooted_aut(adj, colors, centers[0], None)[1]
@@ -556,64 +568,32 @@ def _tree_aut_count(g: Graph, pinned: frozenset[Flag]) -> int:
     return total
 
 
-def _generic_aut_count(g: Graph, pinned: frozenset[Flag]) -> int:
-    base_colors = _vertex_colors(g, None, pinned)
-    mult, loops = _multigraph_data(g)
-    nv = len(g.vertices)
-    init = {c: i for i, c in enumerate(sorted(set(base_colors)))}
-    colors = _refine([init[c] for c in base_colors], mult, loops)
-
-    def m_of(u: int, v: int) -> int:
-        return mult.get((min(u, v), max(u, v)), 0)
-
-    count = [0]
-
-    def backtrack(image: list[int | None], used: set[int]) -> None:
-        v = len([x for x in image if x is not None])
-        if v == nv:
-            count[0] += 1
-            return
-        for w in range(nv):
-            if w in used or colors[w] != colors[v]:
-                continue
-            if loops[w] != loops[v]:
-                continue
-            ok = all(image[u] is None or m_of(v, u) == m_of(w, image[u])
-                     for u in range(nv))
-            if ok:
-                image[v] = w
-                used.add(w)
-                backtrack(image, used)
-                used.remove(w)
-                image[v] = None
-
-    backtrack([None] * nv, set())
-    vertex_maps = count[0]
-    lift = 1
-    for m in mult.values():
-        lift *= factorial(m)
-    for v in range(nv):
-        lift *= factorial(loops[v]) * (2 ** loops[v])
-        lift *= factorial(base_colors[v][1])
-    return vertex_maps * lift
-
-
 def automorphism_count(g: GraphLike, fixed_leaves: Iterable[Flag] = ()) -> int:
     """Order of the automorphism group.
 
     Leaves are interchangeable except for those in ``fixed_leaves``, which
-    every automorphism must fix pointwise.  Genus labels are preserved.
+    every automorphism must fix pointwise.  Genus labels are preserved, and
+    isomorphic components may be permuted.
     """
     graph = _as_graph(g)
     pinned = frozenset(int(f) for f in fixed_leaves)
     if not pinned <= set(graph.leaves):
         raise InvalidGraph("fixed_leaves must be leaves of the graph")
+    components = _components(graph)
     total = 1
-    for comp in _components(graph):
-        if comp.edge_count == len(comp.vertices) - 1:
-            total *= _tree_aut_count(comp, pinned & comp.flags)
+    encodings: Counter = Counter()
+    for comp, adj in components:
+        colors = _vertex_colors(comp, None, pinned)
+        if comp.edge_count == len(adj) - 1:
+            total *= _tree_aut_count(adj, colors)
+            if len(components) > 1:
+                encodings[("t", _tree_canonical(adj, colors))] += 1
         else:
-            total *= _generic_aut_count(comp, pinned & comp.flags)
+            enc, count = _generic_search(adj, colors)
+            total *= count
+            encodings[("m", enc)] += 1
+    for m in encodings.values():
+        total *= factorial(m)
     return total
 
 

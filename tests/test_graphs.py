@@ -3,6 +3,8 @@ from __future__ import annotations
 import hashlib
 import itertools
 import random
+from collections import Counter
+from math import factorial
 
 import pytest
 
@@ -293,10 +295,72 @@ def _random_multigraph(rng: random.Random) -> Graph:
                  [rng.randint(0, 1) for _ in parts])
 
 
-def _to_networkx(g: Graph, nx):
+def _from_edges(labels, leaves, edges) -> Graph:
+    # vertex v has genus labels[v] and leaves[v] leaves; an edge (u, u) is
+    # a loop
+    parts = [set() for _ in labels]
+    flag = itertools.count(1)
+    sigma = {}
+    for v, k in enumerate(leaves):
+        parts[v].update(next(flag) for _ in range(k))
+    for u, v in edges:
+        a, b = next(flag), next(flag)
+        sigma[a], sigma[b] = b, a
+        parts[u].add(a)
+        parts[v].add(b)
+    return Graph(set().union(*parts), sigma, parts, labels)
+
+
+def _as_edges(g: Graph):
+    leaves = [sum(1 for f in part if g.sigma[f] == f) for part in g.vertices]
+    edges = [(g.vertex_of(f), g.vertex_of(p))
+             for f, p in sorted(g.sigma.items()) if f < p]
+    return list(g.genus_labels), leaves, edges
+
+
+def _with_twin(g: Graph, v: int, bond: int) -> Graph:
+    # a copy of vertex v with the same genus, leaves, loops and edges to
+    # every other vertex, joined to v by `bond` parallel edges
+    labels, leaves, edges = _as_edges(g)
+    w = len(labels)
+    twin = [(w if a == v else a, w if b == v else b) for a, b in edges
+            if v in (a, b) and a != b] + [(w, w)] * edges.count((v, v))
+    return _from_edges(labels + [labels[v]], leaves + [leaves[v]],
+                       edges + twin + [(v, w)] * bond)
+
+
+def _copies(g: Graph, k: int) -> Graph:
+    labels, leaves, edges = _as_edges(g)
+    n = len(labels)
+    return _from_edges(labels * k, leaves * k,
+                       [(a + i * n, b + i * n) for i in range(k)
+                        for a, b in edges])
+
+
+def _twin_rich_graphs(rng: random.Random) -> list[Graph]:
+    # planted twins: open, joined by parallel edges, carrying loops, in
+    # classes of two and three, and disjoint isomorphic components
+    out = []
+    for _ in range(40):
+        g = _random_multigraph(rng)
+        for _ in range(rng.randint(1, 2)):
+            g = _with_twin(g, rng.randrange(len(g.vertices)),
+                           rng.choice((0, 0, 1, 2)))
+        out.append(g)
+    out += [_copies(_random_multigraph(rng), rng.randint(2, 3))
+            for _ in range(15)]
+    looped_star = _from_edges([0] + [1] * 4, [0] * 5,
+                              [(0, 0)] + [(0, v) for v in range(1, 5)] +
+                              [(v, v) for v in range(1, 5)])
+    return out + [looped_star, _copies(looped_star, 2)]
+
+
+def _to_networkx(g: Graph, nx, pinned=frozenset()):
     m = nx.MultiGraph()
     for v, (part, label) in enumerate(zip(g.vertices, g.genus_labels)):
-        m.add_node(v, colour=(label, sum(1 for f in part if g.sigma[f] == f)))
+        leaves = [f for f in part if g.sigma[f] == f]
+        m.add_node(v, colour=(label, sum(f not in pinned for f in leaves),
+                              tuple(sorted(pinned.intersection(leaves)))))
     for f, p in g.sigma.items():
         if f < p:
             m.add_edge(g.vertex_of(f), g.vertex_of(p))
@@ -307,7 +371,8 @@ def test_canonical_form_agrees_with_networkx_isomorphism():
     nx = pytest.importorskip("networkx")
     rng = random.Random(20261018)
     pool = [_random_multigraph(rng) for _ in range(90)]
-    pool += [_relabel(g, rng) for g in pool[:30]]
+    pool += _twin_rich_graphs(rng)
+    pool += [_relabel(g, rng) for g in pool[:30] + pool[90:120]]
     forms = [canonical_form(g) for g in pool]
     nets = [_to_networkx(g, nx) for g in pool]
     assert any(not is_connected(g) for g in pool)
@@ -363,6 +428,15 @@ def test_automorphism_counts():
     root = next(f for f, n in t.tree.numbering.items() if n == 10)
     assert automorphism_count(t.graph, [root]) == 960  # 5! * 2! * 2^2
 
+    # isomorphic components may be permuted, unless they hold a fixed leaf
+    two_tri = Graph(range(1, 7), {}, [{1, 2, 3}, {4, 5, 6}], [0, 0])
+    assert automorphism_count(two_tri) == 72
+    assert automorphism_count(two_tri, fixed_leaves=[1]) == 12
+    assert automorphism_count(Graph([], {}, [set(), set()], [1, 1])) == 2
+    two_loops = Graph([1, 2, 3, 4], {1: 2, 2: 1, 3: 4, 4: 3},
+                      [{1, 2}, {3, 4}], [0, 0])
+    assert automorphism_count(two_loops) == 8
+
 
 def test_automorphism_count_loops():
     # single vertex with two loops: swap loops, flip each
@@ -371,12 +445,62 @@ def test_automorphism_count_loops():
 
 
 def test_automorphism_tree_vs_backtracking_agree(numbered):
-    from hyperstrata.graphs import _generic_aut_count, _tree_aut_count
+    from hyperstrata.graphs import (_generic_search, _tree_aut_count,
+                                    _vertex_adjacency, _vertex_colors)
 
     for t in numbered(6):
         g = t.graph
-        assert _tree_aut_count(g, frozenset()) == \
-            _generic_aut_count(g, frozenset())
+        adj, colors = _vertex_adjacency(g), _vertex_colors(g, None, frozenset())
+        assert _tree_aut_count(adj, colors) == \
+            _generic_search(adj, colors)[1]
+
+
+def _flag_lift(g: Graph, pinned) -> int:
+    # flag maps over one vertex map: anonymous leaves, parallel edges and
+    # loops (each loop may also be flipped)
+    lift = 1
+    pairs = Counter(tuple(sorted((g.vertex_of(f), g.vertex_of(p))))
+                    for f, p in g.sigma.items() if f < p)
+    for (u, v), m in pairs.items():
+        lift *= factorial(m) * (2 ** m if u == v else 1)
+    for part in g.vertices:
+        lift *= factorial(sum(1 for f in part
+                              if g.sigma[f] == f and f not in pinned))
+    return lift
+
+
+def test_automorphism_count_agrees_with_networkx():
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import (MultiGraphMatcher,
+                                                 categorical_node_match)
+
+    rng = random.Random(20261019)
+    pool = [_random_multigraph(rng) for _ in range(90)]
+    pool += _twin_rich_graphs(rng)
+    cases = [(g, frozenset()) for g in pool]
+    cases += [(g, frozenset(rng.sample(g.leaves, rng.randint(1, len(g.leaves)))))
+              for g in pool[::3] if g.leaves]
+    same_colour = categorical_node_match("colour", None)
+    for g, pinned in cases:
+        m = _to_networkx(g, nx, pinned)
+        vertex_maps = sum(1 for _ in MultiGraphMatcher(
+            m, m, node_match=same_colour).isomorphisms_iter())
+        assert automorphism_count(g, pinned) == \
+            vertex_maps * _flag_lift(g, pinned), (g, sorted(pinned))
+    assert sum(1 for g, pinned in cases if pinned) > 20
+
+
+def test_pendant_family_stays_polynomial():
+    # one loop with k interchangeable genus-1 pendants: k! leaves of a
+    # search without twin collapse
+    from hyperstrata.covers import pushforward
+    from hyperstrata.trees import annotate
+
+    rng = random.Random(12)
+    for k in range(2, 13):
+        img = pushforward(annotate(_pendant_tree(k)))
+        assert automorphism_count(img) == 2 * factorial(k)
+        assert canonical_form(_relabel(img, rng)) == canonical_form(img)
 
 
 def test_leq_basics(numbered):
