@@ -16,7 +16,7 @@ from . import checks as checks_mod
 from . import serialize as ser
 from .errors import FailedCertificate, FormatError, HyperstrataError
 from .graphs import NumberedGraph, genus
-from .lie import dimension, lyndon_words, normalize
+from .lie import _square_half, lyndon_words, normalize
 from .spectral import (
     AB,
     certify_nonvanishing,
@@ -143,14 +143,11 @@ def _cmd_pushforward(args) -> int:
 def _cmd_lyndon(args) -> int:
     alphabet = parse_alphabet(args.alphabet) if args.alphabet else AB
     md = tuple(_int_list(args.degree, "--degree"))
-    words = lyndon_words(alphabet, md)
-    lines = list(words)
-    if all(c % 2 == 0 for c in md) and sum(md):
-        half = tuple(c // 2 for c in md)
-        if sum(d * c for d, c in zip(alphabet.degrees, half)) % 2 == 1:
-            lines += [f"({w})^[2]" for w in lyndon_words(alphabet, half)]
-    dim = dimension(alphabet, md)
-    _emit("\n".join(lines) + f"\n# dimension {dim}\n", args.out)
+    lines = lyndon_words(alphabet, md)
+    half = _square_half(alphabet, md)
+    if half is not None:
+        lines += [f"({w})^[2]" for w in lyndon_words(alphabet, half)]
+    _emit("\n".join(lines) + f"\n# dimension {len(lines)}\n", args.out)
     return 0
 
 

@@ -75,18 +75,10 @@ def admissible_cover_graph(t: AnnotatedTree, trace: list[str] | None = None) -> 
             if trace is not None:
                 trace.append(f"edge {[f1, f2]}: odd, one edge over it")
         else:
-            if len(cu) == 1 and len(cv) == 1:
-                new_edge(cu[0], cv[0])
-                new_edge(cu[0], cv[0])
-            elif len(cu) == 2 and len(cv) == 1:
-                new_edge(cu[0], cv[0])
-                new_edge(cu[1], cv[0])
-            elif len(cu) == 1 and len(cv) == 2:
-                new_edge(cu[0], cv[0])
-                new_edge(cu[0], cv[1])
-            else:
-                new_edge(cu[0], cv[0])
-                new_edge(cu[1], cv[1])
+            # The lifts leave the first and the last vertex above each end,
+            # the same vertex when only one lies above it.
+            new_edge(cu[0], cv[0])
+            new_edge(cu[-1], cv[-1])
             if trace is not None:
                 trace.append(f"edge {[f1, f2]}: even, two edges over it")
 

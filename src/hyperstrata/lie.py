@@ -238,6 +238,18 @@ def duval_words(n_letters: int, max_length: int) -> list[tuple[int, ...]]:
         w[-1] += 1
 
 
+def _square_half(alphabet: GradedAlphabet, counts) -> list[int] | None:
+    """The half multidegree whose Lyndon words enter the basis of counts as
+    squares, or None: squares occur when every letter count is even and the
+    half has odd degree."""
+    if not sum(counts) or any(c % 2 for c in counts):
+        return None
+    half = [c // 2 for c in counts]
+    if sum(c * d for c, d in zip(half, alphabet.degrees)) % 2 == 0:
+        return None
+    return half
+
+
 def dimension(alphabet: GradedAlphabet, multidegree) -> int:
     """Number of Lyndon-basis elements of the multidegree.
 
@@ -247,13 +259,9 @@ def dimension(alphabet: GradedAlphabet, multidegree) -> int:
     counts = _as_counts(alphabet, multidegree)
     n_words = sum(1 for w in _multiset_permutations(list(counts))
                   if _is_lyndon_key(w))
-    n_squares = 0
-    if sum(counts) and all(c % 2 == 0 for c in counts):
-        half = [c // 2 for c in counts]
-        half_degree = sum(c * d for c, d in zip(half, alphabet.degrees)) % 2
-        if half_degree == 1:
-            n_squares = sum(1 for w in _multiset_permutations(half)
-                            if _is_lyndon_key(w))
+    half = _square_half(alphabet, counts)
+    n_squares = 0 if half is None else sum(
+        1 for w in _multiset_permutations(half) if _is_lyndon_key(w))
     return n_words + n_squares
 
 

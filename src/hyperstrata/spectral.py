@@ -26,9 +26,11 @@ and no good tree has g edges, so nothing maps onto the receiving cell.
 Together these exhibit a nonzero second-page class in bidegree
 (-g+1, 2g-1).
 
-Dimension tables for the full and good-tree first pages are orbit-weighted
-sums over unnumbered stratum classes, using the classical product formula
-for the cohomology of the open strata.
+Dimension tables for the full and good-tree first pages, and the counting
+polynomial of the compact space, are orbit-weighted sums over unnumbered
+stratum classes of one product over the vertex sizes of each class: the
+compactly supported cohomology of the open strata for the tables, their
+point counts for the polynomial.
 """
 
 from __future__ import annotations
@@ -45,9 +47,8 @@ from .lie import (
     dimension,
 )
 from .trees import (
+    MAX_LEAVES,
     StratumClass,
-    _family_profile,
-    _laminar_families,
     build_T_lg,
     good_classes,
     is_good,
@@ -300,13 +301,20 @@ class SpectralTable:
         return sorted((p, q, c.dimension) for (p, q), c in self.cells.items())
 
 
+def _class_poly(cls: StratumClass, factor) -> list[int]:
+    """Product of factor(k) over the vertices of the class, k the number of
+    flags at the vertex."""
+    poly = [1]
+    for part in cls.representative.graph.vertices:
+        poly = _poly_mul(poly, factor(len(part)))
+    return poly
+
+
 def _table_from_classes(kind: str, parameter: int,
                         classes: list[StratumClass]) -> SpectralTable:
     cells: dict[tuple[int, int], dict] = {}
     for cls in classes:
-        poly = [1]
-        for part in cls.representative.graph.vertices:
-            poly = _poly_mul(poly, _hc_poly(len(part)))
+        poly = _class_poly(cls, _hc_poly)
         k = cls.edge_count
         for j, coeff in enumerate(poly):
             if not coeff:
@@ -354,9 +362,10 @@ def f1_table(g: int) -> SpectralTable:
 
 @dataclass(frozen=True)
 class EPolyReport:
-    """Sum over all numbered strata of the product of per-vertex counting
-    polynomials prod_{j=2}^{k-2} (q - j); for the compact space this must be
-    a palindromic polynomial with nonnegative coefficients and constant
+    """Sum over all numbered strata, taken orbit-weighted over unnumbered
+    classes, of the product of per-vertex counting polynomials
+    prod_{j=2}^{k-2} (q - j); for the compact space this must be a
+    palindromic polynomial with nonnegative coefficients and constant
     term 1."""
 
     m: int
@@ -373,16 +382,14 @@ def _epoly(k: int) -> list[int]:
 
 def stratification_epoly_check(m: int) -> EPolyReport:
     """Assemble the counting polynomial of the compact space from its open
-    strata and check positivity, palindromy, and constant term 1."""
-    if not 4 <= m <= 8:
-        raise OutOfRange("supported range is 4 <= m <= 8")
+    strata, orbit-weighted over unnumbered classes, and check positivity,
+    palindromy, and constant term 1."""
+    if not 4 <= m <= MAX_LEAVES:
+        raise OutOfRange(f"supported range is 4 <= m <= {MAX_LEAVES}")
     total = [0] * (m - 2)
-    for family in _laminar_families(m):
-        poly = [1]
-        for size in _family_profile(m, family):
-            poly = _poly_mul(poly, _epoly(size))
-        for i, c in enumerate(poly):
-            total[i] += c
+    for cls in unnumbered_classes(m):
+        for i, c in enumerate(_class_poly(cls, _epoly)):
+            total[i] += cls.orbit_size * c
     while len(total) > 1 and total[-1] == 0:
         total.pop()
     coeffs = tuple(total)

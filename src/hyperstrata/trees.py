@@ -31,7 +31,7 @@ from .graphs import (
     Graph,
     NumberedGraph,
     _spanning_tree,
-    _tree_centers,
+    _tree_canonical,
     _vertex_adjacency,
     automorphism_count,
     canonical_form,
@@ -251,30 +251,6 @@ def _family_to_tree(n: int, family: tuple[int, ...]) -> NumberedGraph:
     return NumberedGraph(graph, {k: k for k in range(1, n + 1)})
 
 
-def _family_profile(n: int, family: tuple[int, ...]) -> tuple[int, ...]:
-    """Vertex flag counts of the tree of a split family, without building it."""
-    if not family:
-        return (n,)
-    parent = _containment_forest(family)
-    n_children = [0] * len(family)
-    covered_root = 0
-    root_children = 0
-    for i, p in enumerate(parent):
-        if p == -1:
-            covered_root |= family[i]
-            root_children += 1
-        else:
-            n_children[p] += 1
-    sizes = [n - covered_root.bit_count() + root_children]
-    for i, mask in enumerate(family):
-        inner = mask.bit_count()
-        for j, p in enumerate(parent):
-            if p == i:
-                inner -= family[j].bit_count()
-        sizes.append(inner + 1 + n_children[i])
-    return tuple(sorted(sizes))
-
-
 def enumerate_trees(n: int, edge_count: Optional[int] = None
                     ) -> list[NumberedGraph]:
     """All isomorphism classes of stable numbered trees of type (0, n).
@@ -321,20 +297,6 @@ def orbit_representatives(trees: list[NumberedGraph]) -> list[StratumClass]:
 # Unnumbered enumeration from unlabelled tree shapes with leaf weights.
 # --------------------------------------------------------------------------
 
-def _shape_encoding(adj, root: int, parent: int) -> tuple:
-    return tuple(sorted(_shape_encoding(adj, u, root)
-                        for u in adj[root] if u != parent))
-
-
-def _shape_canonical(adj) -> tuple:
-    centers = _tree_centers(adj)
-    if len(centers) == 1:
-        return ("1", _shape_encoding(adj, centers[0], -1))
-    a, b = centers
-    return ("2", tuple(sorted((_shape_encoding(adj, a, b),
-                               _shape_encoding(adj, b, a)))))
-
-
 @lru_cache(maxsize=None)
 def _tree_shapes(nv: int) -> tuple:
     """All unlabelled trees on nv vertices, as adjacency tuples."""
@@ -345,7 +307,9 @@ def _tree_shapes(nv: int) -> tuple:
         for attach in range(nv - 1):
             grown = [list(a) for a in adj] + [[attach]]
             grown[attach].append(nv - 1)
-            key = _shape_canonical(grown)
+            # Uncoloured, the tree encoding is a shape key; its sort order
+            # is the shape order, which fixes the class representatives.
+            key = _tree_canonical(grown, [()] * nv)
             if key not in out:
                 out[key] = tuple(tuple(sorted(a)) for a in grown)
     return tuple(out[k] for k in sorted(out))

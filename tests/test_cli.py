@@ -7,7 +7,7 @@ import pytest
 from hyperstrata import cli
 from hyperstrata.errors import FormatError
 from hyperstrata.graphs import canonical_form
-from hyperstrata.lie import normalize
+from hyperstrata.lie import dimension, normalize
 from hyperstrata.serialize import (
     annotated_from_json,
     annotated_to_json,
@@ -105,6 +105,24 @@ def test_lyndon_cli(capsys):
     assert out.splitlines()[:2] == ["aaabb", "aabab"]
     code, out, _ = run_cli(capsys, "lyndon", "--degree", "2,2")
     assert "(ab)^[2]" in out
+
+
+@pytest.mark.parametrize("alphabet,degree", [
+    ("a:odd,b:even", "3,2"), ("a:odd,b:even", "2,2"),
+    ("a:odd,b:even", "4,2"), ("a:odd,b:even", "2,0"),
+    ("a:odd,b:even", "0,2"), ("a:odd,b:odd", "2,2"),
+    ("a:even,b:odd,c:odd", "2,2,2"), ("a:odd,b:even", "4,4"),
+])
+def test_lyndon_cli_dimension_counts_the_printed_basis(capsys, alphabet,
+                                                       degree):
+    code, out, _ = run_cli(capsys, "lyndon", "--degree", degree,
+                           "--alphabet", alphabet)
+    *basis, last = out.splitlines()
+    md = tuple(int(c) for c in degree.split(","))
+    expected = dimension(parse_alphabet(alphabet), md)
+    assert code == 0
+    assert last == f"# dimension {expected}"
+    assert len([w for w in basis if w]) == expected
 
 
 def test_d1_cli(capsys):

@@ -211,13 +211,42 @@ def test_epoly_known_values():
     assert stratification_epoly_check(4).coefficients == (1, 1)
     assert stratification_epoly_check(5).coefficients == (1, 5, 1)
     assert stratification_epoly_check(6).coefficients == (1, 16, 16, 1)
-    for m in (4, 5, 6, 7, 8):
+    assert stratification_epoly_check(7).coefficients == (1, 42, 127, 42, 1)
+    assert stratification_epoly_check(8).coefficients == (
+        1, 99, 715, 715, 99, 1)
+    for m in range(4, 13):
         rep = stratification_epoly_check(m)
         assert rep.ok
         assert rep.coefficients == rep.coefficients[::-1]
         assert rep.coefficients[0] == 1
-    with pytest.raises(OutOfRange):
-        stratification_epoly_check(9)
+        assert len(rep.coefficients) == m - 2
+    for m in (3, 13):
+        with pytest.raises(OutOfRange):
+            stratification_epoly_check(m)
+
+
+def test_epoly_matches_the_numbered_strata():
+    # Independent slow route: one product of point counts per numbered
+    # stratum, |M_{0,k}| = prod_{j=2}^{k-2} (q - j) at each vertex.
+    from hyperstrata.trees import enumerate_trees
+
+    def times_linear(poly, root):
+        out = [0] * (len(poly) + 1)
+        for i, c in enumerate(poly):
+            out[i] -= root * c
+            out[i + 1] += c
+        return out
+
+    for m in (4, 5, 6, 7):
+        total = [0] * (m - 2)
+        for tree in enumerate_trees(m):
+            poly = [1]
+            for part in tree.graph.vertices:
+                for j in range(2, len(part) - 1):
+                    poly = times_linear(poly, j)
+            for i, c in enumerate(poly):
+                total[i] += c
+        assert tuple(total) == stratification_epoly_check(m).coefficients, m
 
 
 def test_star_tree_automorphism_orders():
