@@ -4,7 +4,8 @@ The bracket satisfies [x, y] = -(-1)^{|x||y|} [y, x] and the Koszul-signed
 Jacobi identity; in particular [x, x] = 0 for even x while [x, x] is a
 nonzero basis element for odd x.  The Lyndon basis consists of the standard
 bracketings B(w) of Lyndon words together with the squares [B(w), B(w)] for
-odd-degree Lyndon words w.
+odd-degree Lyndon words w.  Dimensions are a closed-form count by Möbius
+inversion, checked against the enumerations `lyndon_words` and the oracle.
 
 Arbitrary bracket expressions are normalized into this basis by the
 classical bottom-up rewriting: a product [B(m), B(n)] of basis words with
@@ -24,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import factorial, gcd
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .errors import (MixedMultidegree, NotLyndon, OutOfRange, TooLarge,
@@ -250,19 +251,31 @@ def _square_half(alphabet: GradedAlphabet, counts) -> list[int] | None:
     return half
 
 
+def _lyndon_count(counts) -> int:
+    """Number of Lyndon words with the given letter counts, by Möbius
+    inversion of multinomial(c) = sum_{d | gcd(c)} (N/d) L(c/d), N = sum(c)
+    (Reutenauer, *Free Lie Algebras*, 1993), solved for the d = 1 term."""
+    n, g = sum(counts), gcd(*counts)
+    words = factorial(n)
+    for c in counts:
+        words //= factorial(c)
+    for d in range(2, g + 1):
+        if g % d == 0:
+            words -= n // d * _lyndon_count([c // d for c in counts])
+    return words // n if n else 0
+
+
 def dimension(alphabet: GradedAlphabet, multidegree) -> int:
     """Number of Lyndon-basis elements of the multidegree.
 
     Counts the Lyndon words plus, when every letter count is even and the
-    halved word has odd degree, the squares of the half-multidegree words.
+    halved word has odd degree, the squares of the half-multidegree words,
+    both in closed form by Möbius inversion (Kang & Kim, J. Algebra 183,
+    1996). `lyndon_words` and `oracle_component` are the enumeration checks.
     """
     counts = _as_counts(alphabet, multidegree)
-    n_words = sum(1 for w in _multiset_permutations(list(counts))
-                  if _is_lyndon_key(w))
     half = _square_half(alphabet, counts)
-    n_squares = 0 if half is None else sum(
-        1 for w in _multiset_permutations(half) if _is_lyndon_key(w))
-    return n_words + n_squares
+    return _lyndon_count(counts) + (0 if half is None else _lyndon_count(half))
 
 
 # --------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial
+from math import factorial, inf
 from typing import Iterator, Optional
 
 from .errors import (
@@ -332,6 +332,27 @@ def _postorder(adj, root: int = 0):
     return order, parent
 
 
+def _min_weight(deg: int, only_good: bool) -> int:
+    """Fewest leaves on a vertex of the given degree: three flags for
+    stability and, with only_good, rho >= 4 at an internal vertex."""
+    return max(0, (4 if only_good and deg >= 2 else 3) - deg)
+
+
+def _leaf_budget(nv: int, only_good: bool) -> int:
+    """Fewest leaves any shape on nv vertices carries: the least sum of
+    _min_weight over the degree sequences of trees (nv >= 2: nv degrees
+    >= 1 summing to 2nv - 2)."""
+    if nv == 1:
+        return _min_weight(0, only_good)
+    top = 2 * nv - 2
+    best = [0] + [inf] * top  # best[s]: least weight of degrees summing to s
+    for _ in range(nv):
+        best = [min((best[s - d] + _min_weight(d, only_good)
+                     for d in range(1, s + 1)), default=inf)
+                for s in range(top + 1)]
+    return best[top]
+
+
 def _weight_assignments(adj, total: int, only_good: bool
                         ) -> Iterator[tuple[int, ...]]:
     """Leaf-weight vectors making the shape a stable (0, total) tree.
@@ -343,12 +364,7 @@ def _weight_assignments(adj, total: int, only_good: bool
     nv = len(adj)
     deg = [len(a) for a in adj]
     order, parent = _postorder(adj)
-    min_w = []
-    for v in range(nv):
-        base = max(0, 3 - deg[v])
-        if only_good and deg[v] >= 2:
-            base = max(base, 4 - deg[v])
-        min_w.append(base)
+    min_w = [_min_weight(d, only_good) for d in deg]
     suffix = [0] * (nv + 1)
     for i in range(nv - 1, -1, -1):
         suffix[i] = suffix[i + 1] + min_w[order[i]]
@@ -425,7 +441,7 @@ def unnumbered_classes(n: int, edge_count: Optional[int] = None,
     ks = range(n - 2) if edge_count is None else [edge_count]
     found: dict[bytes, StratumClass] = {}
     for k in ks:
-        if k > n - 3:
+        if _leaf_budget(k + 1, only_good) > n:
             continue
         for adj in _tree_shapes(k + 1):
             for weights in _weight_assignments(adj, n, only_good):

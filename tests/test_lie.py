@@ -136,6 +136,35 @@ def test_dimension_examples():
     assert dimension(single, (3,)) == 0
 
 
+def _enumerated_dimension(alphabet, md):
+    """Lyndon words of md plus those of the half multidegree when its
+    squares enter the basis, each listed by the enumeration."""
+    words = len(lyndon_words(alphabet, md))
+    if all(c % 2 == 0 for c in md):
+        half = tuple(c // 2 for c in md)
+        if sum(c * d for c, d in zip(half, alphabet.degrees)) % 2:
+            words += len(lyndon_words(alphabet, half))
+    return words
+
+
+def test_dimension_formula_matches_enumeration():
+    for degrees in ((1, 0), (1, 1), (0, 0)):
+        alpha = GradedAlphabet(("a", "b"), dict(zip("ab", degrees)))
+        for total in range(1, 15):
+            for i in range(total + 1):
+                md = (i, total - i)
+                assert dimension(alpha, md) == _enumerated_dimension(alpha, md)
+    mixed = GradedAlphabet(("a", "b", "c"), {"a": 1, "b": 0, "c": 1})
+    for total in range(1, 10):
+        for md in itertools.product(range(total + 1), repeat=3):
+            if sum(md) == total:
+                assert dimension(mixed, md) == _enumerated_dimension(mixed, md)
+    assert dimension(AB, (0, 0)) == 0
+    assert dimension(AB, (13, 8)) == 9690
+    big = dimension(AB, (200, 100))
+    assert isinstance(big, int) and big > 0
+
+
 def test_oracle_matches_dimensions_small():
     for total in range(1, 6):
         for i in range(total + 1):

@@ -257,3 +257,13 @@ def test_star_tree_automorphism_orders():
                         if n == 2 * g + 2)
             expected = factorial(2 * g - 2 * l + 1) * factorial(l) * 2 ** l
             assert automorphism_count(t.graph, [root]) == expected
+
+
+def test_v_space_rows_beyond_the_enumeration():
+    assert [v_space_dimension(l, 10) for l in range(11)] == [
+        0, 1, 9, 45, 140, 273, 333, 245, 99, 18, 1]
+    # The row is part of the free resolution (Lie(a, b), D b = -[a, a]) of a
+    # one-dimensional algebra, so it is exact: its Euler characteristic is 0.
+    for g in range(2, 81):
+        assert sum((-1) ** l * v_space_dimension(l, g)
+                   for l in range(g + 1)) == 0

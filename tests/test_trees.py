@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from math import factorial
 
 import pytest
@@ -17,6 +18,10 @@ from hyperstrata.graphs import (
     is_stable,
 )
 from hyperstrata.trees import (
+    _leaf_budget,
+    _min_weight,
+    _tree_shapes,
+    _weight_assignments,
     annotate,
     build_T_lg,
     enumerate_trees,
@@ -242,6 +247,24 @@ def test_good_classes_search_empty_at_g_edges():
     for g in (2, 3, 4, 5, 6):
         assert good_classes(g, edge_count=g) == []
         assert good_classes(g, edge_count=g - 1)
+
+
+def test_leaf_budget_is_the_least_shape_weight():
+    for only_good in (False, True):
+        for nv in range(1, 12):
+            sums = [sum(_min_weight(len(a), only_good) for a in adj)
+                    for adj in _tree_shapes(nv)]
+            assert _leaf_budget(nv, only_good) == min(sums), (nv, only_good)
+    # 16 leaves fit on no 12-vertex shape: the good budget there is 18.
+    assert not any(next(_weight_assignments(adj, 16, True), None)
+                   for adj in _tree_shapes(12))
+
+
+def test_good_classes_edge_histogram_at_genus_7():
+    classes = good_classes(7)
+    assert len(classes) == 595
+    assert sorted(Counter(c.edge_count for c in classes).items()) == [
+        (0, 1), (1, 7), (2, 33), (3, 102), (4, 186), (5, 185), (6, 81)]
 
 
 def test_betti1_zero_for_all_enumerated(numbered):
