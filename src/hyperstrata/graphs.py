@@ -485,7 +485,6 @@ def canonical_form(g: GraphLike) -> bytes:
     numbered = isinstance(g, NumberedGraph)
     graph = _as_graph(g)
     numbering = g.numbering if numbered else None
-    prefix = "NG" if numbered else "G"
 
     comp_encodings = []
     for comp, adj in _components(graph):
@@ -495,7 +494,12 @@ def canonical_form(g: GraphLike) -> bytes:
         else:
             enc = ("m", _generic_search(adj, colors)[0])
         comp_encodings.append(enc)
-    payload = (prefix, tuple(sorted(comp_encodings)))
+    return _form_bytes(numbered, comp_encodings)
+
+
+def _form_bytes(numbered: bool, comp_encodings) -> bytes:
+    """The bytes of canonical_form, given each component's encoding."""
+    payload = ("NG" if numbered else "G", tuple(sorted(comp_encodings)))
     return repr(payload).encode("ascii")
 
 

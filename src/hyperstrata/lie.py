@@ -316,7 +316,8 @@ def standard_bracketing(word, alphabet: GradedAlphabet) -> BracketExpr:
 
 
 def _wdeg(degrees: tuple[int, ...], w: tuple[int, ...]) -> int:
-    return sum(degrees[i] for i in w) % 2
+    # One C-level count per odd letter, not one step per letter of w.
+    return sum(w.count(i) for i, d in enumerate(degrees) if d) % 2
 
 
 _active_squares: set = set()

@@ -333,8 +333,8 @@ def e1_table(m: int) -> SpectralTable:
     """First page of the stratification spectral sequence for m-pointed
     rational curves: cell (p, q) collects degree p+q compactly supported
     cohomology over the numbered strata with -p edges."""
-    if not 4 <= m <= 10:
-        raise OutOfRange("supported range is 4 <= m <= 10")
+    if not 4 <= m <= MAX_LEAVES:
+        raise OutOfRange(f"supported range is 4 <= m <= {MAX_LEAVES}")
     table = _table_from_classes("E", m, unnumbered_classes(m))
     for (p, q), cell in table.cells.items():
         if cell.dimension and q - p > 2 * (m - 3):

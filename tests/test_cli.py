@@ -156,6 +156,12 @@ def test_usage_errors_exit_two(capsys):
     assert code == 2 and "hint" in err
 
 
+def test_e1_table_beyond_max_leaves_exits_two(capsys):
+    code, out, err = run_cli(capsys, "tables", "--kind", "e1", "--n", "13")
+    assert code == 2 and out == ""
+    assert "Traceback" not in err and "4 <= m <= 12" in err
+
+
 @pytest.mark.parametrize("argv", [
     ("pushforward", "--tlg", "2"),
     ("pushforward", "--tlg", "a,b"),

@@ -184,6 +184,20 @@ def test_e1_euler_characteristic_matches_epoly():
             assert total == expected, (m, k)
 
 
+def test_e1_table_to_max_leaves():
+    # the same row sums as above, at the sizes the table reaches beyond
+    # m = 10; one leaf more is out of range
+    for m in (11, 12):
+        table = e1_table(m)
+        poincare = stratification_epoly_check(m).coefficients
+        for k in range(m - 2):
+            total = sum((-1) ** p * table.dim(p, m - 3 + k)
+                        for p in range(-(m - 3), 1))
+            assert total == (-1) ** (k - (m - 3)) * poincare[k], (m, k)
+    with pytest.raises(OutOfRange):
+        e1_table(13)
+
+
 def test_f1_tables_respect_bounds():
     for g in (2, 3, 4):
         table = f1_table(g)

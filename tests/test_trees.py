@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 from collections import Counter
 from math import factorial
 
@@ -17,9 +19,12 @@ from hyperstrata.graphs import (
     graph_type,
     is_stable,
 )
+from hyperstrata.serialize import graph_to_json
 from hyperstrata.trees import (
     _leaf_budget,
     _min_weight,
+    _postorder,
+    _shape_to_tree,
     _tree_shapes,
     _weight_assignments,
     annotate,
@@ -265,6 +270,68 @@ def test_good_classes_edge_histogram_at_genus_7():
     assert len(classes) == 595
     assert sorted(Counter(c.edge_count for c in classes).items()) == [
         (0, 1), (1, 7), (2, 33), (3, 102), (4, 186), (5, 185), (6, 81)]
+
+
+def test_shape_key_is_the_canonical_form(orbits):
+    # The classes are keyed on the weighted shape before any graph is
+    # built; the key must be the built tree's canonical form and the orbit
+    # must come from its automorphism group.
+    lists = [(n, orbits(n)) for n in range(4, 13)]
+    lists += [(2 * g + 2, orbits(2 * g + 2, None, True)) for g in range(2, 8)]
+    lists.append((22, orbits(22, 9, True)))   # good_classes(10, 9 edges)
+    for n, classes in lists:
+        for cls in classes:
+            graph = cls.representative.graph
+            assert cls.canonical_key == canonical_form(graph)
+            assert cls.orbit_size * automorphism_count(graph) == factorial(n)
+        assert len({c.canonical_key for c in classes}) == len(classes)
+
+
+def _representative_digest(families) -> str:
+    h = hashlib.sha256()
+    for classes in families:
+        for c in classes:
+            h.update(json.dumps([graph_to_json(c.representative), c.edge_count,
+                                 c.orbit_size], sort_keys=True).encode())
+            h.update(b"\n")
+    return h.hexdigest()
+
+
+def test_class_representatives_are_pinned(orbits):
+    # Each class is represented by the first weight vector that reaches it;
+    # CLI JSON depends on that choice, so it must not drift.
+    full = [orbits(n) for n in range(4, 13)]
+    good = [orbits(2 * g + 2, None, True) for g in range(2, 8)]
+    assert _representative_digest(full) == \
+        "213f10ea1ee0996d6db20d712e016cafb6169950080d94a5697e76a45ea49be3"
+    assert _representative_digest(good) == \
+        "bb7faace6364e2767a7aaef4c94754bf33a51125ce73991a72aecc0374727e05"
+
+
+def test_weight_assignments_match_brute_force():
+    # Oracle: every vector of per-vertex weights, stable at each vertex and
+    # with the right total, in lexicographic order along the postorder
+    # (the root last), and good when asked for (good needs n even).  A
+    # vertex takes at most what the other vertices' minimums leave.
+    for nv in range(1, 8):
+        for adj in _tree_shapes(nv):
+            order, _ = _postorder(adj)
+            lows = [max(0, 3 - len(adj[v])) for v in order]
+            for n in range(13):
+                ranges = [range(lo, n - sum(lows) + lo + 1) for lo in lows]
+                stable = []
+                for ws in itertools.product(*ranges):
+                    if sum(ws) == n:
+                        w = [0] * nv
+                        for v, wv in zip(order, ws):
+                            w[v] = wv
+                        stable.append(tuple(w))
+                assert list(_weight_assignments(adj, n, False)) == stable
+                if n % 2:
+                    continue
+                good = [w for w in stable
+                        if is_good(annotate(_shape_to_tree(adj, w)))]
+                assert list(_weight_assignments(adj, n, True)) == good
 
 
 def test_betti1_zero_for_all_enumerated(numbered):
