@@ -5,7 +5,9 @@ whose branched double cover is a genus-g curve.  The cover's dual graph is
 built vertex by vertex (one vertex of genus (rho-2)/2 over each tree vertex,
 or two rational vertices where rho = 0), with one edge over each odd edge
 and two over each even edge, and then stabilized.  Leaves of the tree are
-branch points and contribute no flags.
+branch points and contribute no flags.  The pushforward stabilizes the
+lifted cover in one splice pass over its raw data, with the postconditions
+of ``stabilize``, so the image is the only Graph it builds.
 """
 
 from __future__ import annotations
@@ -15,9 +17,9 @@ from dataclasses import dataclass
 from .errors import OddLeafTotal, OutOfRange
 from .graphs import (
     Graph,
+    _splice,
     canonical_form,
     genus,
-    stabilize,
 )
 from .trees import AnnotatedTree, unnumbered_classes
 
@@ -30,6 +32,14 @@ def admissible_cover_graph(t: AnnotatedTree, trace: list[str] | None = None) -> 
     ramified and lift to a single edge; even edges lift to a pair of edges,
     routed to keep the cover connected.
     """
+    parts, sigma, labels = _lift(t, trace)
+    return Graph(sigma.keys(), sigma, parts, labels)
+
+
+def _lift(t: AnnotatedTree, trace: list[str] | None
+          ) -> tuple[list[set[int]], dict[int, int], list[int]]:
+    """The cover's vertex parts, involution and genus labels, unvalidated;
+    every flag is half of an edge."""
     g = t.graph
     if len(g.leaves) % 2:
         raise OddLeafTotal("the double cover needs an even number of leaves")
@@ -53,23 +63,20 @@ def admissible_cover_graph(t: AnnotatedTree, trace: list[str] | None = None) -> 
                              f"of genus {(rho - 2) // 2}")
 
     sigma: dict[int, int] = {}
-    counter = [0]
 
     def new_edge(u_part: int, v_part: int) -> None:
-        f1, f2 = counter[0] + 1, counter[0] + 2
-        counter[0] += 2
-        sigma[f1] = f2
-        sigma[f2] = f1
+        f1, f2 = len(sigma) + 1, len(sigma) + 2
+        sigma[f1], sigma[f2] = f2, f1
         parts[u_part].add(f1)
         parts[v_part].add(f2)
 
     # Edges in order of their lower flag; this order numbers the cover's flags.
+    index = g._vertex_index
     for f1 in sorted(g.sigma):
         f2 = g.sigma[f1]
         if f2 <= f1:
             continue
-        u, v = g.vertex_of(f1), g.vertex_of(f2)
-        cu, cv = covers[u], covers[v]
+        cu, cv = covers[index[f1]], covers[index[f2]]
         if t.parity[f1] == 1:
             new_edge(cu[0], cv[0])
             if trace is not None:
@@ -82,15 +89,18 @@ def admissible_cover_graph(t: AnnotatedTree, trace: list[str] | None = None) -> 
             if trace is not None:
                 trace.append(f"edge {[f1, f2]}: even, two edges over it")
 
-    flags = set().union(*parts) if parts else set()
-    return Graph(flags, sigma, parts, labels)
+    return parts, sigma, labels
 
 
 def pushforward(t: AnnotatedTree, trace: list[str] | None = None) -> Graph:
-    """Stabilized cover graph: the genus-g dual graph of the image curve."""
-    cover = admissible_cover_graph(t, trace)
-    before = cover.edge_count
-    result = stabilize(cover)
+    """Stabilized cover graph: the genus-g dual graph of the image curve.
+
+    Equal to ``stabilize(admissible_cover_graph(t))``: one splice pass over
+    the lifted data builds the image, with the postconditions of
+    ``stabilize`` (stable, connected, genus g = n/2 - 1, no leaves)."""
+    parts, sigma, labels = _lift(t, trace)
+    before = len(sigma) // 2
+    result = _splice(sigma, parts, labels, len(t.graph.leaves) // 2 - 1, ())
     if trace is not None:
         spliced = before - result.edge_count
         if spliced:

@@ -6,10 +6,11 @@ nonnegative genus label on every vertex.  Loops and parallel edges are fully
 supported; a vertex may end up with an empty flag set (the dual graph of a
 smooth unmarked curve).  Values are immutable after construction and all
 operations are pure functions, so they are safe to share between workers.
-Every construction is fully validated.  The edge set and connectivity are
-computed lazily, on first use, and kept on the value.  Adjacency lists are
-rebuilt from the involution where needed rather than kept, since keeping
-them would cost memory on every graph.
+Every construction is fully validated.  The flag set, the edge set and
+connectivity are derived on demand, on first use, and kept on the value; the
+involution's keys already are the flags.  Adjacency lists are rebuilt from
+the involution where needed rather than kept, since keeping them would cost
+memory on every graph.
 
 Flag identifiers are opaque integers; neither vertex order nor flag order
 carries meaning.  Graph identity is defined by ``canonical_form`` only.
@@ -37,26 +38,27 @@ Edge = frozenset
 class Graph:
     """An immutable (flags, involution, vertex partition, genus) value."""
 
-    __slots__ = ("flags", "sigma", "vertices", "genus_labels",
-                 "_vertex_index", "_edges", "_leaves", "_connected")
+    __slots__ = ("sigma", "vertices", "genus_labels", "_vertex_index",
+                 "_flags", "_edges", "_leaves", "_connected")
 
     def __init__(self, flags: Iterable[Flag], sigma: Mapping[Flag, Flag],
                  vertices: Iterable[Iterable[Flag]],
                  genus_labels: Iterable[int]):
-        self.flags = frozenset(int(f) for f in flags)
-        self.sigma = {f: int(sigma.get(f, f)) for f in self.flags}
+        flag_set = frozenset(int(f) for f in flags)
+        self.sigma = {f: int(sigma.get(f, f)) for f in flag_set}
         self.vertices = tuple(frozenset(int(f) for f in part)
                               for part in vertices)
         self.genus_labels = tuple(int(g) for g in genus_labels)
-        self._validate()
+        self._validate(flag_set)
         self._vertex_index = {f: i for i, part in enumerate(self.vertices)
                               for f in part}
-        self._leaves = tuple(sorted(f for f in self.flags
-                                    if self.sigma[f] == f))
+        self._leaves = tuple(sorted(f for f, p in self.sigma.items()
+                                    if p == f))
+        self._flags = None       # built by the flags property
         self._edges = None       # built by the edges property
         self._connected = None   # set by the first is_connected call
 
-    def _validate(self) -> None:
+    def _validate(self, flags: frozenset) -> None:
         if not self.vertices:
             raise InvalidGraph("a graph needs at least one vertex")
         if len(self.genus_labels) != len(self.vertices):
@@ -68,12 +70,19 @@ class Graph:
             if part & seen:
                 raise InvalidGraph("vertex parts must be disjoint")
             seen |= part
-        if seen != self.flags:
+        if seen != flags:
             raise InvalidGraph("vertices must partition the flag set")
         for f, p in self.sigma.items():
-            if p not in self.flags or self.sigma[p] != f:
+            if p not in flags or self.sigma[p] != f:
                 raise InvalidGraph("involution must be a self-inverse map "
                                    "on the flags")
+
+    @property
+    def flags(self) -> frozenset:
+        """All flags: the keys of the involution, as a frozenset."""
+        if self._flags is None:
+            self._flags = frozenset(self.sigma)
+        return self._flags
 
     @property
     def leaves(self) -> tuple[Flag, ...]:
@@ -91,13 +100,13 @@ class Graph:
     @property
     def edge_count(self) -> int:
         """Number of edges, without building the edge set."""
-        return (len(self.flags) - len(self._leaves)) // 2
+        return (len(self.sigma) - len(self._leaves)) // 2
 
     def vertex_of(self, flag: Flag) -> int:
         return self._vertex_index[flag]
 
     def __repr__(self) -> str:
-        return (f"Graph(flags={len(self.flags)}, vertices={len(self.vertices)}, "
+        return (f"Graph(flags={len(self.sigma)}, vertices={len(self.vertices)}, "
                 f"edges={self.edge_count}, leaves={len(self._leaves)}, "
                 f"genus={self.genus_labels})")
 
@@ -209,14 +218,22 @@ def stabilize(g: GraphLike) -> GraphLike:
     graph = _as_graph(g)
     if not is_connected(graph):
         raise DisconnectedGraph("stabilize requires a connected graph")
-    total = genus(graph)
-    n = len(graph.leaves)
-    if 2 * total - 2 + n <= 0:
-        raise Unstabilizable(f"type {(total, n)} has no stable model")
+    result = _splice(dict(graph.sigma), [set(p) for p in graph.vertices],
+                     list(graph.genus_labels), genus(graph), graph.leaves)
+    if numbered:
+        return NumberedGraph(result, g.numbering)
+    return result
 
-    sigma = dict(graph.sigma)
-    parts = [set(p) for p in graph.vertices]
-    labels = list(graph.genus_labels)
+
+def _splice(sigma: dict[Flag, Flag], parts: list[set[Flag]],
+            labels: list[int], total: int, leaves: Iterable[Flag]) -> Graph:
+    """The splice loop of ``stabilize`` over the raw involution, parts and
+    labels (consumed) of a connected graph of genus ``total``.  Returns one
+    validated Graph, checked to be stable and to keep the genus (which also
+    checks connectivity) and the leaves."""
+    leaves = set(leaves)
+    if 2 * total - 2 + len(leaves) <= 0:
+        raise Unstabilizable(f"type {(total, len(leaves))} has no stable model")
     alive = [True] * len(parts)
     owner = {f: i for i, p in enumerate(parts) for f in p}
 
@@ -268,10 +285,8 @@ def stabilize(g: GraphLike) -> GraphLike:
     result = Graph(sigma.keys(), sigma, new_parts, new_labels)
     if not is_stable(result):
         raise Unstabilizable("residual positive-genus vertex with too few flags")
-    if genus(result) != total or set(result.leaves) != set(graph.leaves):
+    if genus(result) != total or set(result.leaves) != leaves:
         raise InvalidGraph("stabilization broke a conserved quantity")
-    if numbered:
-        return NumberedGraph(result, g.numbering)
     return result
 
 

@@ -48,7 +48,7 @@ MAX_LEAVES = 12
 MAX_LEAVES_GOOD = 22
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class AnnotatedTree:
     """A numbered genus-0 tree with cached parity and vertex counts.
 
@@ -112,9 +112,12 @@ def annotate(t: NumberedGraph) -> AnnotatedTree:
 
     The parity of an edge is the parity of the number of leaves on either
     side of its removal, which is well defined only when the total number of
-    leaves is even.
+    leaves is even.  Every vertex must have genus 0: the cover's genus rule
+    reads only the parities.
     """
     g = t.graph
+    if any(g.genus_labels):
+        raise NotATree("annotation requires genus 0 at every vertex")
     order, parent = _spanning_tree(_vertex_adjacency(g))
     nv = len(g.vertices)
     if len(order) != nv or g.edge_count != nv - 1:
@@ -123,24 +126,28 @@ def annotate(t: NumberedGraph) -> AnnotatedTree:
     if n % 2:
         raise OddLeafTotal(f"edge parity is undefined for {n} leaves")
 
-    subtree = [sum(1 for f in part if g.sigma[f] == f) for part in g.vertices]
+    sigma, index = g.sigma, g._vertex_index
+    subtree = [sum(1 for f in part if sigma[f] == f) for part in g.vertices]
     for v in reversed(order[1:]):
         subtree[parent[v]] += subtree[v]
 
     # An edge takes the parity of the leaf count below its child end.
     parity: dict[int, int] = {}
-    for f in g.flags:
-        p = g.sigma[f]
-        if p == f:
-            parity[f] = 1
-        else:
-            u, v = g.vertex_of(f), g.vertex_of(p)
-            parity[f] = subtree[v if parent[v] == u else u] % 2
-
     rho, nu = [], []
-    for part in g.vertices:
-        rho.append(sum(parity[f] for f in part))
-        nu.append(sum(1 for f in part if g.sigma[f] != f))
+    for u, part in enumerate(g.vertices):
+        odd = edges = 0
+        for f in part:
+            p = sigma[f]
+            if p == f:
+                x = 1
+            else:
+                v = index[p]
+                x = subtree[v if parent[v] == u else u] % 2
+                edges += 1
+            parity[f] = x
+            odd += x
+        rho.append(odd)
+        nu.append(edges)
     internal = tuple(x > 1 for x in nu)
     return AnnotatedTree(t, parity, tuple(rho), tuple(nu), internal)
 
@@ -199,59 +206,27 @@ def _laminar_families(n: int, edge_count: Optional[int] = None
     yield from rec(0)
 
 
-def _containment_forest(family: tuple[int, ...]):
-    """parent[i] = index of the smallest split containing split i, or -1."""
-    idx = sorted(range(len(family)), key=lambda i: family[i].bit_count())
-    parent = [-1] * len(family)
-    for pos, i in enumerate(idx):
-        for j in idx[pos + 1:]:
-            if family[i] & family[j] == family[i]:
-                parent[i] = j
-                break
-    return parent
-
-
 def _family_to_tree(n: int, family: tuple[int, ...]) -> NumberedGraph:
-    parent = _containment_forest(family)
-    children: list[list[int]] = [[] for _ in family]
-    roots = []
-    for i, p in enumerate(parent):
-        if p == -1:
-            roots.append(i)
-        else:
-            children[p].append(i)
+    """Vertex 0 is the root (the side of leaf 1) and vertex i+1 realizes
+    split i; flags n+1, n+2, ... are the edges, in split order.  A leaf or a
+    split hangs below the smallest other split containing it."""
+    by_size = sorted(range(len(family)), key=lambda i: family[i].bit_count())
 
-    def leaves_of_mask(mask: int) -> list[int]:
-        return [b + 2 for b in range(n - 1) if mask >> b & 1]
+    def home(mask: int, skip: int = -1) -> int:
+        return next((j + 1 for j in by_size
+                     if j != skip and family[j] & mask == mask), 0)
 
+    parts: list[set[int]] = [{1}] + [set() for _ in family]
+    for x in range(2, n + 1):
+        parts[home(1 << (x - 2))].add(x)
     sigma: dict[int, int] = {}
-    parts: list[set[int]] = []
-    # vertex 0 is the root (the side of leaf 1); vertex i+1 realizes split i
-    root_part: set[int] = {1}
-    covered = 0
-    for i in roots:
-        covered |= family[i]
-    root_part.update(x for x in range(2, n + 1)
-                     if not (covered >> (x - 2)) & 1)
-    parts.append(root_part)
+    f_up = n + 1
     for i, mask in enumerate(family):
-        inner = mask
-        for c in children[i]:
-            inner &= ~family[c]
-        parts.append(set(leaves_of_mask(inner)))
-
-    next_flag = n + 1
-    for i in range(len(family)):
-        up = parent[i] + 1 if parent[i] != -1 else 0
-        f_up, f_down = next_flag, next_flag + 1
-        next_flag += 2
-        sigma[f_up] = f_down
-        sigma[f_down] = f_up
-        parts[up].add(f_up)
-        parts[i + 1].add(f_down)
-
-    flags = set().union(*parts)
-    graph = Graph(flags, sigma, parts, [0] * len(parts))
+        sigma[f_up], sigma[f_up + 1] = f_up + 1, f_up
+        parts[home(mask, i)].add(f_up)
+        parts[i + 1].add(f_up + 1)
+        f_up += 2
+    graph = Graph(range(1, f_up), sigma, parts, [0] * len(parts))
     return NumberedGraph(graph, {k: k for k in range(1, n + 1)})
 
 

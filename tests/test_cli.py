@@ -194,6 +194,18 @@ def test_bad_tree_file_exits_two_without_traceback(capsys, tmp_path):
         assert "Traceback" not in err and "hint" in err, name
 
 
+def test_tree_with_positive_genus_label_exits_two(capsys, tmp_path):
+    tree = {"format": 1, "flags": list(range(1, 9)), "involution": [[7, 8]],
+            "vertices": [[1, 2, 3, 7], [4, 5, 6, 8]], "genus": [1, 0],
+            "leaf_numbering": {str(k): k for k in range(1, 7)}}
+    path = tmp_path / "tree.json"
+    path.write_text(json.dumps(tree))
+    for command in ("annotate", "pushforward"):
+        code, out, err = run_cli(capsys, command, "--tree", str(path))
+        assert code == 2 and out == "", command
+        assert "Traceback" not in err and "genus 0" in err, command
+
+
 def test_out_flag_writes_file(capsys, tmp_path):
     target = tmp_path / "out.json"
     code, out, _ = run_cli(capsys, "certify", "--genus", "2",

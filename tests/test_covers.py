@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 
 from hyperstrata.covers import (
@@ -10,7 +13,7 @@ from hyperstrata.covers import (
     rational_component_count,
     verify_injectivity,
 )
-from hyperstrata.errors import OutOfRange
+from hyperstrata.errors import OutOfRange, Unstabilizable
 from hyperstrata.graphs import (
     Graph,
     NumberedGraph,
@@ -18,7 +21,9 @@ from hyperstrata.graphs import (
     genus,
     graph_type,
     is_stable,
+    stabilize,
 )
+from hyperstrata.serialize import graph_to_json
 from hyperstrata.trees import annotate, build_T_lg, is_good
 
 
@@ -173,3 +178,42 @@ def test_pushforward_constant_on_orbits(numbered):
         by_class.setdefault(key, set()).add(img)
     for images in by_class.values():
         assert len(images) == 1
+
+
+def _pushforward_pool(numbered, orbits):
+    # Every numbered (0, 6) tree, every class for even n = 6..12 and the
+    # star trees to genus 6.
+    pool = [annotate(t) for t in numbered(6)]
+    for n in range(6, 13, 2):
+        pool += [c.annotated() for c in orbits(n)]
+    pool += [build_T_lg(l, g) for g in range(2, 7) for l in range(g + 1)]
+    return pool
+
+
+def test_pushforward_matches_stabilized_cover(numbered, orbits):
+    # Oracle: splicing the raw lifted data gives the graph that stabilize
+    # gives on the validated cover Graph.
+    for t in _pushforward_pool(numbered, orbits):
+        img, ref = pushforward(t), stabilize(admissible_cover_graph(t))
+        assert img.sigma == ref.sigma
+        assert img.vertices == ref.vertices
+        assert img.genus_labels == ref.genus_labels
+
+
+def test_pushforward_images_are_pinned(numbered, orbits):
+    # Recorded when pushforward was stabilize(admissible_cover_graph(t));
+    # CLI JSON is built from these images, so they must not drift.
+    h = hashlib.sha256()
+    for t in _pushforward_pool(numbered, orbits):
+        h.update(json.dumps(graph_to_json(pushforward(t)),
+                            sort_keys=True).encode())
+        h.update(b"\n")
+    assert h.hexdigest() == \
+        "0c35634ae98adc14afddd382e956eeca9503b3d945ae363ebc941923b61eec78"
+
+
+def test_four_leaf_trees_have_no_stable_image(numbered):
+    for tree in numbered(4):
+        with pytest.raises(Unstabilizable,
+                           match=r"^type \(1, 0\) has no stable model$"):
+            pushforward(annotate(tree))

@@ -30,7 +30,8 @@ from hyperstrata.graphs import (
     leq,
     stabilize,
 )
-from hyperstrata.trees import build_T_lg
+from hyperstrata.covers import pushforward
+from hyperstrata.trees import annotate, build_T_lg
 
 
 def two_vertex_triple_edge():
@@ -556,3 +557,31 @@ def test_graph_validation_errors():
         NumberedGraph(Graph([1, 2], {}, [{1, 2}], [1]), {1: 1})
     with pytest.raises(InvalidGraph):
         NumberedGraph(Graph([1, 2], {}, [{1, 2}], [1]), {1: 1, 2: 3})
+
+
+def test_flag_set_is_derived_once_on_demand():
+    # A (0, 6) tree with two edges: nothing on the tree or image route
+    # needs the flag set, and it is built once when asked for.
+    g = Graph(range(1, 11), {7: 8, 8: 7, 9: 10, 10: 9},
+              [{1, 2, 7}, {3, 4, 8, 9}, {5, 6, 10}], [0, 0, 0])
+    tree = NumberedGraph(g, {k: k for k in range(1, 7)})
+    assert g.edge_count == 2 and "flags=10" in repr(g)
+    canonical_form(g)
+    canonical_form(tree)
+    image = pushforward(annotate(tree))
+    assert g._flags is None and image._flags is None
+    flags = g.flags
+    assert type(flags) is frozenset and flags == frozenset(g.sigma)
+    assert g.flags is flags
+
+
+@pytest.mark.parametrize("flags, sigma, parts, message", [
+    ([1], {}, [{1, 2}], "partition"),                    # vertex flag unknown
+    ([1, 2], {}, [{1}], "partition"),                    # flag in no vertex
+    ([1, 2], {1: 3}, [{1, 2}], "self-inverse"),          # sigma leaves flags
+    ([1, 2], {1: 2}, [{1, 2}], "self-inverse"),          # one-sided pair
+    ([1, 2, 3], {1: 2, 2: 3, 3: 1}, [{1, 2, 3}], "self-inverse"),
+])
+def test_graph_validation_messages(flags, sigma, parts, message):
+    with pytest.raises(InvalidGraph, match=message):
+        Graph(flags, sigma, parts, [0])

@@ -147,6 +147,16 @@ def test_annotate_rejects_odd_totals_and_nontrees(numbered):
         annotate(NumberedGraph(loop, {3: 1, 4: 2, 5: 3}))
 
 
+def test_annotate_rejects_positive_genus_labels():
+    # The cover's genus rule reads only the parities, so a positive label
+    # would give a wrong image (genus 2 here instead of a refusal).
+    for labels in ([1, 0], [0, 2]):
+        g = Graph(range(1, 9), {7: 8, 8: 7},
+                  [{1, 2, 3, 7}, {4, 5, 6, 8}], labels)
+        with pytest.raises(NotATree, match="genus 0"):
+            annotate(NumberedGraph(g, {k: k for k in range(1, 7)}))
+
+
 def test_parity_and_rho_invariants(numbered, orbits):
     pools = [annotate(t) for t in numbered(6)]
     pools += [c.annotated() for c in orbits(8)] + \
