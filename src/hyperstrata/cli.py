@@ -14,9 +14,10 @@ import sys
 
 from . import checks as checks_mod
 from . import serialize as ser
+from .covers import pushforward
 from .errors import FailedCertificate, FormatError, HyperstrataError
 from .graphs import NumberedGraph, genus
-from .lie import _square_half, lyndon_words, normalize
+from .lie import _square_half, basis_vector, lyndon_words, normalize
 from .spectral import (
     AB,
     certify_nonvanishing,
@@ -26,7 +27,6 @@ from .spectral import (
     omega,
     VSpaceElement,
 )
-from .lie import basis_vector
 from .serialize import (
     dumps,
     graph_to_json,
@@ -121,8 +121,6 @@ def _cmd_annotate(args) -> int:
 
 
 def _cmd_pushforward(args) -> int:
-    from .covers import pushforward
-
     if args.tlg:
         t = build_T_lg(*_int_list(args.tlg, "--tlg", 2))
     elif args.tree:

@@ -342,21 +342,32 @@ def contract_edges(g: GraphLike, edges_to_contract) -> GraphLike:
 
 
 # --------------------------------------------------------------------------
-# Canonical forms.
+# Canonical forms and automorphisms.
 #
-# Each connected component is encoded on its own, from its vertex adjacency
-# and vertex colours (genus, anonymous-leaf count, numbered or pinned leaf
-# labels).  Trees are rooted at their (1- or 2-vertex) center and encoded
-# bottom-up.  General multigraphs go through one individualization-
-# refinement search that serves both canonical_form and automorphism_count.
-# Its invariant: the least leaf encoding is the canonical form, and the
-# number of leaves reaching it is the number of vertex automorphisms (Aut
-# acts freely on the discrete leaves, and two leaves with equal encodings
-# differ by an automorphism).  Twins, vertices of one cell with the same
-# multiplicity to every third vertex, are branched on once and weighted by
-# their class size: swapping two twins is an automorphism fixing everything
-# else, so their subtrees give the same encodings.  Interchangeable pendants
-# therefore cost no k!.
+# One search per connected component returns both answers: its encoding and
+# the order of its automorphism group.  A component is searched from its
+# vertex adjacency and vertex colours (genus, anonymous-leaf count, numbered
+# or pinned leaf labels), so a pinned leaf never moves.  The order is the
+# number of vertex maps preserving colours and edge multiplicities times
+# the flag lift, the number of flag maps over each: the product of
+# (anonymous-leaf count)! per vertex, (parallel-edge count)! per vertex
+# pair, and (loop count)! * 2^(loop count) per vertex.  Components with
+# equal encodings permute, which multiplies the order by m! for each class
+# of m.
+#
+# Trees are rooted at their (1- or 2-vertex) centre and walked bottom-up
+# once: a vertex's encoding is its colour and its children's sorted
+# encodings, and its count permutes anonymous leaves and each run of k
+# equal child encodings (k!), times every child's count (Colbourn & Booth,
+# SIAM J. Comput. 10, 1981).  General multigraphs go through one
+# individualization-refinement search.  Its invariant: the least leaf
+# encoding is the canonical form, and the number of leaves reaching it is
+# the number of vertex automorphisms (Aut acts freely on the discrete
+# leaves, and two leaves with equal encodings differ by an automorphism).
+# Twins, vertices of one cell with the same multiplicity to every third
+# vertex, are branched on once and weighted by their class size: swapping
+# two twins is an automorphism fixing everything else, so their subtrees
+# give the same encodings.  Interchangeable pendants therefore cost no k!.
 # --------------------------------------------------------------------------
 
 def _vertex_colors(g: Graph, numbering: Mapping[Flag, int] | None,
@@ -399,20 +410,31 @@ def _tree_centers(adj: list[list[int]]) -> list[int]:
     return sorted(layer)
 
 
-def _rooted_encoding(adj, colors, root: int, parent: int | None):
-    children = tuple(sorted(_rooted_encoding(adj, colors, u, root)
-                            for u in adj[root] if u != parent))
-    return (colors[root], children)
+def _rooted(adj, colors, root: int, parent: int | None) -> tuple[tuple, int]:
+    """The encoding of the subtree at root, away from parent, and the order
+    of its automorphism group fixing root."""
+    kids = sorted([_rooted(adj, colors, u, root)
+                   for u in adj[root] if u != parent])
+    count = factorial(colors[root][1])  # permute anonymous leaves
+    prev, run = None, 0
+    for enc, c in kids:
+        run = run + 1 if enc == prev else 1
+        prev = enc
+        count *= c * run    # a run of k equal subtrees permutes: k!
+    return (colors[root], tuple([enc for enc, _ in kids])), count
 
 
-def _tree_canonical(adj, colors) -> tuple:
+def _tree_search(adj, colors) -> tuple[tuple, int]:
+    """A tree's encoding, rooted at its centre, and its automorphism order;
+    two equal halves of a bicentral tree may also swap."""
     centers = _tree_centers(adj)
     if len(centers) == 1:
-        return ("c1", _rooted_encoding(adj, colors, centers[0], None))
+        enc, count = _rooted(adj, colors, centers[0], None)
+        return ("c1", enc), count
     a, b = centers
-    halves = sorted((_rooted_encoding(adj, colors, a, b),
-                     _rooted_encoding(adj, colors, b, a)))
-    return ("c2", tuple(halves))
+    (enc_a, cnt_a), (enc_b, cnt_b) = sorted((_rooted(adj, colors, a, b),
+                                             _rooted(adj, colors, b, a)))
+    return ("c2", (enc_a, enc_b)), cnt_a * cnt_b * (2 if enc_a == enc_b else 1)
 
 
 def _refine(colors: list[int], rows, loops) -> list[int]:
@@ -491,6 +513,34 @@ def _generic_search(adj, base_colors) -> tuple[tuple, int]:
     return best, count
 
 
+def _searches(g: Graph, numbering: Mapping[Flag, int] | None,
+              pinned: frozenset[Flag]) -> list[tuple[tuple, int]]:
+    """Each connected component's (("t" | "m", encoding), automorphism
+    order).  One adjacency and one colour list of the whole graph are
+    re-indexed per component; they also settle the graph's connectivity,
+    and a graph known to be connected is its own component."""
+    adj = _vertex_adjacency(g)
+    colors = _vertex_colors(g, numbering, pinned)
+    if g._connected is None:
+        g._connected = len(_spanning_tree(adj)[0]) == len(adj)
+    components = [(adj, colors)]
+    if not g._connected:
+        components, seen = [], set()
+        for start in range(len(adj)):
+            if start not in seen:
+                idx = sorted(_spanning_tree(adj, start)[0])
+                seen.update(idx)
+                new = {v: i for i, v in enumerate(idx)}
+                components.append(([[new[u] for u in adj[v]] for v in idx],
+                                   [colors[v] for v in idx]))
+    out = []
+    for a, c in components:
+        tree = sum(map(len, a)) == 2 * (len(a) - 1)
+        enc, count = (_tree_search if tree else _generic_search)(a, c)
+        out.append((("t" if tree else "m", enc), count))
+    return out
+
+
 def canonical_form(g: GraphLike) -> bytes:
     """Canonical byte string: equal iff the graphs are isomorphic.
 
@@ -498,93 +548,15 @@ def canonical_form(g: GraphLike) -> bytes:
     leaf numbering.  Deterministic across runs (no hashing involved).
     """
     numbered = isinstance(g, NumberedGraph)
-    graph = _as_graph(g)
-    numbering = g.numbering if numbered else None
-
-    comp_encodings = []
-    for comp, adj in _components(graph):
-        colors = _vertex_colors(comp, numbering, frozenset())
-        if comp.edge_count == len(adj) - 1:
-            enc = ("t", _tree_canonical(adj, colors))
-        else:
-            enc = ("m", _generic_search(adj, colors)[0])
-        comp_encodings.append(enc)
-    return _form_bytes(numbered, comp_encodings)
+    searches = _searches(_as_graph(g), g.numbering if numbered else None,
+                         frozenset())
+    return _form_bytes(numbered, [enc for enc, _ in searches])
 
 
 def _form_bytes(numbered: bool, comp_encodings) -> bytes:
     """The bytes of canonical_form, given each component's encoding."""
     payload = ("NG" if numbered else "G", tuple(sorted(comp_encodings)))
     return repr(payload).encode("ascii")
-
-
-def _components(g: Graph) -> list[tuple[Graph, list[list[int]]]]:
-    """The connected components with their vertex adjacency; a connected
-    graph is its own.  The adjacency is built once and also settles the
-    graph's connectivity."""
-    adj = _vertex_adjacency(g)
-    if g._connected is None:
-        g._connected = len(_spanning_tree(adj)[0]) == len(adj)
-    if g._connected:
-        return [(g, adj)]
-    seen: set[int] = set()
-    out = []
-    for start in range(len(g.vertices)):
-        if start in seen:
-            continue
-        comp = _spanning_tree(adj, start)[0]
-        seen.update(comp)
-        idx = sorted(comp)
-        flags = set().union(*(g.vertices[i] for i in idx))
-        sigma = {f: g.sigma[f] for f in flags}
-        sub = Graph(flags, sigma, [g.vertices[i] for i in idx],
-                    [g.genus_labels[i] for i in idx])
-        out.append((sub, _vertex_adjacency(sub)))
-    return out
-
-
-# --------------------------------------------------------------------------
-# Automorphisms.
-#
-# Counting never enumerates flag maps: a vertex map preserving colours and
-# edge multiplicities lifts to exactly the same number of flag maps, namely
-# the product of (unlabelled-leaf count)! per vertex, (parallel-edge
-# count)! per vertex pair, and (loop count)! * 2^(loop count) per vertex.
-# On a multigraph the vertex maps are counted by the canonical search above.
-# Isomorphic components of a disconnected graph may also be permuted, which
-# multiplies the count by m! for each class of m equal component encodings;
-# a pinned leaf is part of its component's colours, so that component never
-# moves.
-# --------------------------------------------------------------------------
-
-def _rooted_aut(adj, colors, root: int, parent: int | None) -> tuple[tuple, int]:
-    child_data = [_rooted_aut(adj, colors, u, root)
-                  for u in adj[root] if u != parent]
-    child_data.sort(key=lambda t: t[0])
-    count = factorial(colors[root][1])  # permute anonymous leaves
-    i = 0
-    while i < len(child_data):
-        j = i
-        while j < len(child_data) and child_data[j][0] == child_data[i][0]:
-            count *= child_data[j][1]
-            j += 1
-        count *= factorial(j - i)
-        i = j
-    enc = (colors[root], tuple(c for c, _ in child_data))
-    return enc, count
-
-
-def _tree_aut_count(adj, colors) -> int:
-    centers = _tree_centers(adj)
-    if len(centers) == 1:
-        return _rooted_aut(adj, colors, centers[0], None)[1]
-    a, b = centers
-    enc_a, cnt_a = _rooted_aut(adj, colors, a, b)
-    enc_b, cnt_b = _rooted_aut(adj, colors, b, a)
-    total = cnt_a * cnt_b
-    if enc_a == enc_b:
-        total *= 2
-    return total
 
 
 def automorphism_count(g: GraphLike, fixed_leaves: Iterable[Flag] = ()) -> int:
@@ -598,20 +570,11 @@ def automorphism_count(g: GraphLike, fixed_leaves: Iterable[Flag] = ()) -> int:
     pinned = frozenset(int(f) for f in fixed_leaves)
     if not pinned <= set(graph.leaves):
         raise InvalidGraph("fixed_leaves must be leaves of the graph")
-    components = _components(graph)
+    searches = _searches(graph, None, pinned)
     total = 1
-    encodings: Counter = Counter()
-    for comp, adj in components:
-        colors = _vertex_colors(comp, None, pinned)
-        if comp.edge_count == len(adj) - 1:
-            total *= _tree_aut_count(adj, colors)
-            if len(components) > 1:
-                encodings[("t", _tree_canonical(adj, colors))] += 1
-        else:
-            enc, count = _generic_search(adj, colors)
-            total *= count
-            encodings[("m", enc)] += 1
-    for m in encodings.values():
+    for _, count in searches:
+        total *= count
+    for m in Counter(enc for enc, _ in searches).values():
         total *= factorial(m)
     return total
 

@@ -10,9 +10,10 @@ with k edges corresponds to a laminar family of k proper subsets of the leaf
 set, and two numbered trees are isomorphic exactly when their split families
 agree.  This makes the numbered enumeration duplicate-free by construction.
 Unnumbered classes are generated separately from unlabelled tree shapes with
-leaf weights, so the two routes cross-check each other.  Weight vectors that
-give one class are recognised on the weighted shape, before any graph is
-built, so each class costs one Graph.
+leaf weights, so the two routes cross-check each other.  One tree walk per
+weight vector gives both the class key and the orbit size on the weighted
+shape, before any graph is built, so each class costs one Graph and no
+second walk.
 """
 
 from __future__ import annotations
@@ -34,8 +35,7 @@ from .graphs import (
     NumberedGraph,
     _form_bytes,
     _spanning_tree,
-    _tree_aut_count,
-    _tree_canonical,
+    _tree_search,
     _vertex_adjacency,
     automorphism_count,
     canonical_form,
@@ -286,9 +286,10 @@ def _tree_shapes(nv: int) -> tuple:
         for attach in range(nv - 1):
             grown = [list(a) for a in adj] + [[attach]]
             grown[attach].append(nv - 1)
-            # Uncoloured, the tree encoding is a shape key; its sort order
-            # is the shape order, which fixes the class representatives.
-            key = _tree_canonical(grown, [()] * nv)
+            # With one colour on every vertex the tree encoding is a shape
+            # key; its sort order is the shape order, which fixes the class
+            # representatives.
+            key = _tree_search(grown, [(0, 0, ())] * nv)[0]
             if key not in out:
                 out[key] = tuple(tuple(sorted(a)) for a in grown)
     return tuple(out[k] for k in sorted(out))
@@ -397,9 +398,11 @@ def unnumbered_classes(n: int, edge_count: Optional[int] = None,
     Each class carries the size of its renumbering orbit, so sums over all
     numbered classes can be taken as orbit-weighted sums over this list.
     With only_good (n even), only classes whose internal vertices all have
-    rho >= 4 are returned.  Duplicates are dropped on the weighted-shape
-    key, which is the built tree's canonical form, before any graph is
-    built; a class keeps the first weight vector that reaches it.
+    rho >= 4 are returned.  One walk of the weighted shape per weight
+    vector gives its key, which is the built tree's canonical form, and its
+    automorphism order, hence the orbit.  Duplicates are dropped on the key
+    before any graph is built; a class keeps the first weight vector that
+    reaches it.
     """
     bound = MAX_LEAVES_GOOD if only_good else MAX_LEAVES
     if not 3 <= n <= bound:
@@ -415,15 +418,14 @@ def unnumbered_classes(n: int, edge_count: Optional[int] = None,
             continue
         for adj in _tree_shapes(k + 1):
             for weights in _weight_assignments(adj, n, only_good):
-                colors = [(0, wv, ()) for wv in weights]
-                key = _form_bytes(False, [("t", _tree_canonical(adj, colors))])
+                enc, aut = _tree_search(adj, [(0, wv, ()) for wv in weights])
+                key = _form_bytes(False, [("t", enc)])
                 if key in found:
                     continue
                 tree = _shape_to_tree(adj, weights)
                 if only_good and not is_good(annotate(tree)):
                     continue
-                orbit = factorial(n) // _tree_aut_count(adj, colors)
-                found[key] = StratumClass(tree, k, orbit, key)
+                found[key] = StratumClass(tree, k, factorial(n) // aut, key)
     return sorted(found.values(), key=lambda c: (c.edge_count, c.canonical_key))
 
 

@@ -446,13 +446,21 @@ def test_automorphism_count_loops():
 
 
 def test_automorphism_tree_vs_backtracking_agree(numbered):
-    from hyperstrata.graphs import (_generic_search, _tree_aut_count,
+    from hyperstrata.graphs import (_generic_search, _tree_search,
                                     _vertex_adjacency, _vertex_colors)
+    from hyperstrata.trees import good_classes
 
-    for t in numbered(6):
-        g = t.graph
-        adj, colors = _vertex_adjacency(g), _vertex_colors(g, None, frozenset())
-        assert _tree_aut_count(adj, colors) == \
+    # every (0, 6) tree with no, one and two pinned leaves, and the good
+    # representatives to g = 5, whose one-edge trees are bicentral
+    cases = [(t.graph, t.graph.leaves[:k])
+             for t in numbered(6) for k in range(3)]
+    cases += [(c.representative.graph, ())
+              for g in range(2, 6) for c in good_classes(g)]
+    assert any(len(g.vertices) == 2 for g, _ in cases)
+    for g, pinned in cases:
+        adj = _vertex_adjacency(g)
+        colors = _vertex_colors(g, None, frozenset(pinned))
+        assert _tree_search(adj, colors)[1] == \
             _generic_search(adj, colors)[1]
 
 
@@ -547,8 +555,10 @@ def test_leq_reflexive_transitive_on_gamma06(numbered):
 
 
 def test_graph_validation_errors():
-    with pytest.raises(InvalidGraph):
-        Graph([1, 2], {1: 2}, [{1}, {2}], [0])          # not an involution
+    with pytest.raises(InvalidGraph, match="self-inverse"):
+        Graph([1, 2], {1: 2}, [{1}, {2}], [0, 0])       # not an involution
+    with pytest.raises(InvalidGraph, match="align"):
+        Graph([1, 2], {1: 2, 2: 1}, [{1}, {2}], [0])    # labels misaligned
     with pytest.raises(InvalidGraph):
         Graph([1, 2], {}, [{1}], [0])                   # not a partition
     with pytest.raises(InvalidGraph):
