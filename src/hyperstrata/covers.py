@@ -149,12 +149,12 @@ class NodeBoundReport:
 def node_bound_report(g: int, k: int) -> NodeBoundReport:
     """Check that trees mapping into filtration level k have few nodes.
 
-    Enumerates all unnumbered classes of type (0, 2g+2), keeps those whose
-    image has at most k rational components, and verifies the edge count
-    bound g + k - 1 together with edge growth under the pushforward.
+    Enumerates the unnumbered classes of type (0, 2g+2), g <= 5 by MAX_LEAVES,
+    keeps those whose image has at most k rational components, and checks
+    the edge bound g + k - 1 and edge growth under the pushforward.
     """
-    if not 2 <= g <= 4:
-        raise OutOfRange("exhaustive node audit supports 2 <= g <= 4")
+    if g < 2:
+        raise OutOfRange("need g >= 2")
     if k < 0:
         raise OutOfRange("filtration level must be nonnegative")
     bound = g + k - 1
@@ -173,11 +173,10 @@ def node_bound_report(g: int, k: int) -> NodeBoundReport:
 
 
 def verify_injectivity(g: int) -> bool:
-    """Distinct unnumbered tree classes have distinct image dual graphs."""
-    if not 2 <= g <= 3:
-        raise OutOfRange("exhaustive injectivity check supports g <= 3")
-    forms = set()
+    """Distinct unnumbered tree classes have distinct image dual graphs,
+    checked over all classes of type (0, 2g+2): g <= 5 by MAX_LEAVES."""
+    if g < 2:
+        raise OutOfRange("need g >= 2")
     classes = unnumbered_classes(2 * g + 2)
-    for cls in classes:
-        forms.add(canonical_form(pushforward(cls.annotated())))
+    forms = {canonical_form(pushforward(c.annotated())) for c in classes}
     return len(forms) == len(classes)

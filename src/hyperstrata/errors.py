@@ -50,7 +50,7 @@ class MixedMultidegree(HyperstrataError):
 
 
 class TooLarge(HyperstrataError):
-    """The brute-force oracle refuses inputs beyond its size bound."""
+    """An enumeration refuses inputs beyond its size bound."""
 
 
 class LevelZero(HyperstrataError):

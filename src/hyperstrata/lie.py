@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd
+from math import factorial, gcd, prod
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .errors import (MixedMultidegree, NotLyndon, OutOfRange, TooLarge,
@@ -33,6 +33,9 @@ from .errors import (MixedMultidegree, NotLyndon, OutOfRange, TooLarge,
 
 BracketExpr = Union[str, tuple]
 _Key = tuple  # ("w", word) or ("sq", word); word = tuple of letter indices
+# lyndon_words filters every multiset permutation of its counts: 184,756 for
+# (10, 10) take 1.3 s, 705,432 for (11, 11) 5.3 s.  The oracle stops at 8.
+MAX_PERMUTATIONS = 10 ** 6
 
 
 class GradedAlphabet:
@@ -218,6 +221,9 @@ def lyndon_words(alphabet: GradedAlphabet, multidegree) -> list[str]:
     counts = _as_counts(alphabet, multidegree)
     if sum(counts) < 1:
         raise OutOfRange("multidegree total must be at least 1")
+    perms = factorial(sum(counts)) // prod(map(factorial, counts))
+    if perms > MAX_PERMUTATIONS:
+        raise TooLarge(f"{perms} permutations exceed {MAX_PERMUTATIONS}")
     return [alphabet.text(w) for w in _multiset_permutations(counts)
             if _is_lyndon_key(w)]
 

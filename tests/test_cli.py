@@ -174,6 +174,10 @@ def test_e1_table_beyond_max_leaves_exits_two(capsys):
     ("d1", "--genus", "3", "--word", "abc"),
     ("pushforward", "--tree", "."),
     ("certify", "--genus", "2", "--out", "."),
+    ("enumerate", "--n", "10"),
+    ("tables", "--kind", "f1", "--genus", "11"),
+    ("certify", "--genus", "11"),
+    ("lyndon", "--degree", "40,40"),
 ])
 def test_bad_input_exits_two_without_traceback(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

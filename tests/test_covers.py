@@ -158,14 +158,24 @@ def test_node_bound_reports():
     rep = node_bound_report(2, 6)
     assert rep.ok and rep.max_edges <= 2 * 2 - 1
     with pytest.raises(OutOfRange):
-        node_bound_report(5, 0)
+        node_bound_report(6, 0)
+
+
+def test_node_bound_at_genus_five():
+    # the largest genus the class generator reaches (2g + 2 = 12 leaves);
+    # the bound g + k - 1 is attained until trees run out at 2g - 1 edges
+    for k in range(6):
+        rep = node_bound_report(5, k)
+        assert rep.ok and rep.max_edges == min(5 + k - 1, 2 * 5 - 1), k
 
 
 def test_injectivity():
     assert verify_injectivity(2)
     assert verify_injectivity(3)
+    assert verify_injectivity(4)
+    assert verify_injectivity(5)
     with pytest.raises(OutOfRange):
-        verify_injectivity(4)
+        verify_injectivity(6)
 
 
 def test_pushforward_constant_on_orbits(numbered):

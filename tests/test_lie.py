@@ -45,6 +45,13 @@ def test_lyndon_words_examples():
     assert lyndon_words(AB, (3, 2)) == ["aaabb", "aabab"]
 
 
+def test_lyndon_words_refuse_before_enumerating():
+    # 2,704,156 permutations for (12, 12), about 10^21 words for (40, 40)
+    for md in ((12, 12), (40, 40)):
+        with pytest.raises(TooLarge, match="permutations exceed"):
+            lyndon_words(AB, md)
+
+
 def test_duval_agrees_with_rotation_filter():
     from hyperstrata.lie import _is_lyndon_key
 

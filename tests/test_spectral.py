@@ -10,11 +10,13 @@ from hyperstrata.errors import LevelZero, OutOfRange
 from hyperstrata.graphs import automorphism_count
 from hyperstrata.lie import (basis_vector, lyndon_words, normalize,
                              standard_bracketing)
+from hyperstrata.serialize import table_to_csv
 from hyperstrata.spectral import (
     AB,
     AB_ODD,
     Certificate,
     VSpaceElement,
+    _table_from_classes,
     betti_m0n,
     certify_nonvanishing,
     d1,
@@ -25,7 +27,7 @@ from hyperstrata.spectral import (
     v_space_dimension,
     verify_leading_terms,
 )
-from hyperstrata.trees import build_T_lg
+from hyperstrata.trees import build_T_lg, is_good, unnumbered_classes
 
 
 def test_omega():
@@ -146,6 +148,10 @@ def test_betti_numbers():
     for n in range(3, 10):
         assert betti_m0n(n)[-1] == factorial(n - 2)
         assert betti_m0n(n)[0] == 1
+    # at t = 1 the product of the (1 + k t) is (n-1)!/2; n runs to 22, as
+    # f1_table(10) needs
+    for n in range(3, 23):
+        assert sum(betti_m0n(n)) == factorial(n - 1) // 2
 
 
 def test_e1_table_four_points():
@@ -208,7 +214,15 @@ def test_f1_tables_respect_bounds():
             assert 2 * g - 1 <= q <= 4 * g - 2
             assert p + q >= g
     with pytest.raises(OutOfRange):
-        f1_table(5)
+        f1_table(11)
+
+
+def test_f1_table_five_matches_the_unpruned_classes():
+    # The pruned good-class search against a filter over all (0, 12)
+    # classes, which prunes nothing.
+    good = [c for c in unnumbered_classes(12) if is_good(c.annotated())]
+    assert table_to_csv(f1_table(5)) == \
+        table_to_csv(_table_from_classes("F", 5, good))
 
 
 def test_f1_two_realizes_both_p_columns():

@@ -116,6 +116,8 @@ def test_enumeration_range_errors():
     with pytest.raises(OutOfRange):
         enumerate_trees(2)
     with pytest.raises(OutOfRange):
+        enumerate_trees(10)
+    with pytest.raises(OutOfRange):
         enumerate_trees(13)
     with pytest.raises(OutOfRange):
         enumerate_trees(5, 3)
