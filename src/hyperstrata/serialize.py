@@ -19,21 +19,24 @@ FORMAT = 1
 
 
 def _sorted_vertex_order(g: Graph) -> list[int]:
-    keyed = sorted(range(len(g.vertices)),
-                   key=lambda i: sorted(g.vertices[i]))
-    return keyed
+    return sorted(range(len(g.vertices)), key=g.vertices.__getitem__)
+
+
+def _edge_pairs(g: Graph) -> list[tuple[int, int]]:
+    """Each edge as (lower flag, upper flag), sorted; read off the
+    involution, so the graph's flag and edge sets are never built."""
+    return sorted((f, p) for f, p in g.sigma.items() if f < p)
 
 
 def graph_to_json(g) -> dict:
     numbered = isinstance(g, NumberedGraph)
     graph = g.graph if numbered else g
     order = _sorted_vertex_order(graph)
-    pairs = sorted(sorted(e) for e in graph.edges)
     payload = {
         "format": FORMAT,
-        "flags": sorted(graph.flags),
-        "involution": [[a, b] for a, b in pairs],
-        "vertices": [sorted(graph.vertices[i]) for i in order],
+        "flags": sorted(graph.sigma),
+        "involution": [[a, b] for a, b in _edge_pairs(graph)],
+        "vertices": [list(graph.vertices[i]) for i in order],
         "genus": [graph.genus_labels[i] for i in order],
     }
     if numbered:
@@ -70,9 +73,8 @@ def annotated_to_json(t: AnnotatedTree) -> dict:
     payload = graph_to_json(t.tree)
     g = t.graph
     order = _sorted_vertex_order(g)
-    pairs = sorted(sorted(e) for e in g.edges)
-    payload["parity"] = {str(i): t.parity[pair[0]]
-                         for i, pair in enumerate(pairs)}
+    payload["parity"] = {str(i): t.parity[f]
+                         for i, (f, _) in enumerate(_edge_pairs(g))}
     payload["rho"] = [t.rho[i] for i in order]
     payload["nu"] = [t.nu[i] for i in order]
     payload["internal"] = [t.internal[i] for i in order]

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial, inf
+from operator import itemgetter
 from typing import Iterator, Optional
 
 from .errors import (
@@ -42,8 +43,8 @@ from .graphs import (
     graph_type,
 )
 
-# enumerate_trees grows like n!: n = 8 takes 4.1 s and 144 MB max RSS, n = 9
-# takes 99 s and 2.3 GB (660,032 trees); n = 10 would build 12,818,912.
+# enumerate_trees grows like n!: n = 8 takes 3.1-3.6 s and 114 MB max RSS,
+# n = 9 takes 74 s and 1.8 GB (660,032 trees); n = 10 would build 12,818,912.
 MAX_LEAVES_NUMBERED = 9
 MAX_LEAVES = 12
 # The goodness-pruned search stays small far beyond the full enumeration
@@ -183,54 +184,87 @@ def _split_candidates(n: int) -> list[int]:
 
 
 def _laminar_families(n: int, edge_count: Optional[int] = None
-                      ) -> Iterator[tuple[int, ...]]:
+                      ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Each laminar family of splits, in increasing mask order, with each
+    split's parent: 1 + the index of the smallest split containing it, or
+    0 (the root) for a maximal split.
+
+    Candidates come in increasing mask order, so a new split cannot lie
+    inside a chosen one: it contains or misses each of them, and testing it
+    against the current maximal splits suffices.  The maximal splits it
+    contains become its children.
+    """
     cands = _split_candidates(n)
     kmax = n - 3 if edge_count is None else edge_count
     chosen: list[int] = []
+    parents: list[int] = []
 
-    def rec(start: int) -> Iterator[tuple[int, ...]]:
+    def rec(start: int, tops: list[int]
+            ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
         if edge_count is None or len(chosen) == edge_count:
-            yield tuple(chosen)
+            yield tuple(chosen), tuple(parents)
         if len(chosen) >= kmax:
             return
         for i in range(start, len(cands)):
             m = cands[i]
-            ok = True
-            for c in chosen:
-                inter = m & c
-                if inter and inter != m and inter != c:
-                    ok = False
+            inside, outside = [], []
+            for j in tops:
+                inter = m & chosen[j]
+                if inter == chosen[j]:
+                    inside.append(j)
+                elif inter:
                     break
-            if ok:
+                else:
+                    outside.append(j)
+            else:
+                k = len(chosen)
                 chosen.append(m)
-                yield from rec(i + 1)
+                parents.append(0)
+                for j in inside:
+                    parents[j] = k + 1
+                outside.append(k)
+                yield from rec(i + 1, outside)
+                for j in inside:
+                    parents[j] = 0
+                parents.pop()
                 chosen.pop()
 
-    yield from rec(0)
+    yield from rec(0, [])
 
 
-def _family_to_tree(n: int, family: tuple[int, ...]) -> NumberedGraph:
-    """Vertex 0 is the root (the side of leaf 1) and vertex i+1 realizes
-    split i; flags n+1, n+2, ... are the edges, in split order.  A leaf or a
-    split hangs below the smallest other split containing it."""
-    by_size = sorted(range(len(family)), key=lambda i: family[i].bit_count())
+def _family_to_tree(n: int, family: tuple[int, ...],
+                    parents: tuple[int, ...]) -> tuple[bytes, NumberedGraph]:
+    """The tree of a laminar family and its canonical form.
 
-    def home(mask: int, skip: int = -1) -> int:
-        return next((j + 1 for j in by_size
-                     if j != skip and family[j] & mask == mask), 0)
-
-    parts: list[set[int]] = [{1}] + [set() for _ in family]
+    Vertex 0 is the root (the side of leaf 1) and vertex i+1 realizes
+    split i, hung on its parent; flags n+1, n+2, ... are the edges, in split
+    order.  A leaf goes to the first split containing it in family order,
+    the smallest.  The canonical form comes from one walk over the parent
+    links and the leaf labels, before the Graph is built.
+    """
+    parts: list[list[int]] = [[1]] + [[] for _ in family]
     for x in range(2, n + 1):
-        parts[home(1 << (x - 2))].add(x)
+        bit = 1 << (x - 2)
+        v = 0
+        for i, mask in enumerate(family):
+            if mask & bit:
+                v = i + 1
+                break
+        parts[v].append(x)
+    adj: list[list[int]] = [[] for _ in parts]
+    colors = [(0, 0, tuple(p)) for p in parts]
     sigma: dict[int, int] = {}
     f_up = n + 1
-    for i, mask in enumerate(family):
+    for i, p in enumerate(parents):
+        adj[p].append(i + 1)
+        adj[i + 1].append(p)
         sigma[f_up], sigma[f_up + 1] = f_up + 1, f_up
-        parts[home(mask, i)].add(f_up)
-        parts[i + 1].add(f_up + 1)
+        parts[p].append(f_up)
+        parts[i + 1].append(f_up + 1)
         f_up += 2
+    key = _form_bytes(True, [("t", _tree_search(adj, colors)[0])])
     graph = Graph(range(1, f_up), sigma, parts, [0] * len(parts))
-    return NumberedGraph(graph, {k: k for k in range(1, n + 1)})
+    return key, NumberedGraph(graph, {k: k for k in range(1, n + 1)})
 
 
 def enumerate_trees(n: int, edge_count: Optional[int] = None
@@ -244,8 +278,10 @@ def enumerate_trees(n: int, edge_count: Optional[int] = None
         raise OutOfRange(f"leaf count {n} outside 3..{MAX_LEAVES_NUMBERED}")
     if edge_count is not None and not 0 <= edge_count <= n - 3:
         raise OutOfRange(f"edge count {edge_count} outside 0..{n - 3}")
-    trees = [_family_to_tree(n, fam) for fam in _laminar_families(n, edge_count)]
-    return sorted(trees, key=canonical_form)
+    keyed = [_family_to_tree(n, fam, parents)
+             for fam, parents in _laminar_families(n, edge_count)]
+    keyed.sort(key=itemgetter(0))
+    return [t for _, t in keyed]
 
 
 def orbit_representatives(trees: list[NumberedGraph]) -> list[StratumClass]:

@@ -19,7 +19,7 @@ from hyperstrata.serialize import (
     parse_bracket_expr,
 )
 from hyperstrata.spectral import AB
-from hyperstrata.trees import build_T_lg, enumerate_trees
+from hyperstrata.trees import annotate, build_T_lg, enumerate_trees
 
 
 def run_cli(capsys, *argv):
@@ -178,6 +178,8 @@ def test_e1_table_beyond_max_leaves_exits_two(capsys):
     ("tables", "--kind", "f1", "--genus", "11"),
     ("certify", "--genus", "11"),
     ("lyndon", "--degree", "40,40"),
+    ("lyndon", "--degree", "1000000,1000000"),
+    ("lyndon", "--degree", "0,1000000000"),
 ])
 def test_bad_input_exits_two_without_traceback(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -221,6 +223,24 @@ def test_out_flag_writes_file(capsys, tmp_path):
 # --------------------------------------------------------------------------
 # Serialization round-trips.
 # --------------------------------------------------------------------------
+
+def test_lyndon_long_word_exits_zero(capsys):
+    # 1,201 words of 1,201 letters: past the recursion limit, were the
+    # permutations generated by one recursive call per letter
+    code, out, err = run_cli(capsys, "lyndon", "--degree", "1,1200")
+    assert code == 0 and "Traceback" not in err
+    assert out == "a" + "b" * 1200 + "\n# dimension 1\n"
+
+
+def test_graph_json_reads_the_involution_only():
+    # Serializing must not fill the per-graph flag and edge caches, which
+    # would hold a frozenset per graph for every graph of a batch.
+    for t in enumerate_trees(6, 3)[:5]:
+        a = annotate(t)
+        graph_to_json(t)
+        annotated_to_json(a)
+        assert t.graph._flags is None and t.graph._edges is None
+
 
 def test_graph_json_roundtrip():
     for t in enumerate_trees(5):

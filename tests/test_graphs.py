@@ -569,6 +569,16 @@ def test_graph_validation_errors():
         NumberedGraph(Graph([1, 2], {}, [{1, 2}], [1]), {1: 1, 2: 3})
 
 
+def test_vertex_parts_are_sorted_tuples():
+    # A repeated flag in one part is merged, as in a set; across parts it
+    # is still an overlap.
+    g = Graph([4, 3, 2, 1], {2: 4, 4: 2}, [[3, 1, 3, 2], (4,)], [1, 0])
+    assert g.vertices == ((1, 2, 3), (4,))
+    assert g.vertex_of(3) == 0 and g.vertex_of(4) == 1
+    with pytest.raises(InvalidGraph, match="disjoint"):
+        Graph([1, 2], {}, [[1, 2], [2]], [0, 0])
+
+
 def test_flag_set_is_derived_once_on_demand():
     # A (0, 6) tree with two edges: nothing on the tree or image route
     # needs the flag set, and it is built once when asked for.

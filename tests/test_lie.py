@@ -52,6 +52,26 @@ def test_lyndon_words_refuse_before_enumerating():
             lyndon_words(AB, md)
 
 
+def test_lyndon_words_bound_the_letters_written():
+    # one a and 999,999 b's: 10^6 words of 10^6 letters, refused at once
+    with pytest.raises(TooLarge, match="permutations exceed"):
+        lyndon_words(AB, (1, 999_999))
+    with pytest.raises(TooLarge, match="a word of"):
+        lyndon_words(AB, (0, 10 ** 9))
+
+
+def test_multiset_permutations_in_lex_order():
+    from hyperstrata.lie import _multiset_permutations
+
+    for letters in (1, 2, 3):
+        for counts in itertools.product(range(8), repeat=letters):
+            if sum(counts) > 7:
+                continue
+            word = [i for i, c in enumerate(counts) for _ in range(c)]
+            assert list(_multiset_permutations(list(counts))) == \
+                sorted(set(itertools.permutations(word)))
+
+
 def test_duval_agrees_with_rotation_filter():
     from hyperstrata.lie import _is_lyndon_key
 

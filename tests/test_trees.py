@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import itertools
 import json
@@ -21,6 +22,8 @@ from hyperstrata.graphs import (
 )
 from hyperstrata.serialize import graph_to_json
 from hyperstrata.trees import (
+    _family_to_tree,
+    _laminar_families,
     _leaf_budget,
     _min_weight,
     _postorder,
@@ -45,7 +48,7 @@ from hyperstrata.trees import (
 def _split_vertex(t: NumberedGraph, v_index: int, moved: frozenset):
     g = t.graph
     part = g.vertices[v_index]
-    stay = part - moved
+    stay = set(part) - moved
     if len(stay) < 2 or len(moved) < 2:
         return None
     top = max(g.flags)
@@ -121,6 +124,64 @@ def test_enumeration_range_errors():
         enumerate_trees(13)
     with pytest.raises(OutOfRange):
         enumerate_trees(5, 3)
+
+
+def test_family_parents_are_the_smallest_supersets():
+    # Oracle: each family is pairwise laminar, and a direct scan finds each
+    # split's smallest superset (the supersets of a split form a chain).
+    for n in range(3, 9):
+        for family, parents in _laminar_families(n):
+            want = []
+            for m in family:
+                others = [j for j, c in enumerate(family) if c != m]
+                assert all(m & family[j] in (0, m, family[j]) for j in others)
+                supers = [j for j in others if family[j] & m == m]
+                want.append(1 + min(supers, key=lambda j: family[j].bit_count())
+                            if supers else 0)
+            assert parents == tuple(want)
+
+
+def _cut_masks(t: NumberedGraph) -> list[int]:
+    """Each edge's leaves on the side away from leaf 1, as split masks."""
+    g = t.graph
+    out = []
+    for f, p in g.sigma.items():
+        if f >= p:
+            continue
+        near = {g.vertex_of(1)}
+        stack = list(near)
+        while stack:
+            v = stack.pop()
+            for x in g.vertices[v]:
+                y = g.sigma[x]
+                if y != x and x not in (f, p) and g.vertex_of(y) not in near:
+                    near.add(g.vertex_of(y))
+                    stack.append(g.vertex_of(y))
+        out.append(sum(1 << (t.numbering[leaf] - 2) for leaf in g.leaves
+                       if g.vertex_of(leaf) not in near))
+    return sorted(out)
+
+
+def test_family_trees_cut_their_splits_and_key_on_their_form():
+    # Each edge of a family's tree cuts off exactly one split of the family
+    # (n <= 7), and the key the enumeration sorts on is the tree's
+    # canonical form (n <= 8).
+    for n in range(3, 9):
+        for family, parents in _laminar_families(n):
+            key, t = _family_to_tree(n, family, parents)
+            assert key == canonical_form(t)
+            if n <= 7:
+                assert _cut_masks(t) == sorted(family)
+
+
+def test_enumerated_vertex_parts_are_untracked():
+    # Sorted int tuples leave the collector's lists at its first pass, so a
+    # large enumeration is not rescanned by every full collection.
+    t = enumerate_trees(6)[-1]
+    gc.collect()
+    assert not gc.is_tracked(t.graph.vertices)
+    assert all(type(p) is tuple and list(p) == sorted(p)
+               for p in t.graph.vertices)
 
 
 def test_annotate_one_edge_parities(numbered):
