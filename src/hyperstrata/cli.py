@@ -11,10 +11,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 
 from . import checks as checks_mod
 from . import serialize as ser
-from .covers import pushforward
+from .covers import pushforward, pushforward_trace
 from .errors import FailedCertificate, FormatError, HyperstrataError
 from .graphs import NumberedGraph, genus
 from .lie import _square_half, basis_vector, lyndon_words, normalize
@@ -52,12 +53,19 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(2)
 
 
+@contextmanager
+def _output(out_path: str | None):
+    """The --out file, open for writing, or stdout."""
+    if not out_path:
+        yield sys.stdout
+        return
+    with open(out_path, "w", encoding="utf-8") as fh:
+        yield fh
+
+
 def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with _output(out_path) as fh:
+        fh.write(text)
 
 
 def _int_list(text: str, flag: str, count: int | None = None) -> list[int]:
@@ -86,31 +94,22 @@ def _load_tree(path: str):
 
 
 def _cmd_enumerate(args) -> int:
-    if args.orbits or args.good:
+    orbits = args.orbits or args.good
+    if orbits:
         classes = unnumbered_classes(args.n, args.edges,
                                      only_good=bool(args.good))
-        payload = {
-            "format": ser.FORMAT,
-            "n": args.n,
-            "orbits": True,
-            "classes": [
-                {
-                    "graph": graph_to_json(c.representative),
-                    "edge_count": c.edge_count,
-                    "orbit_size": c.orbit_size,
-                }
-                for c in classes
-            ],
-        }
+        items = ({
+            "graph": graph_to_json(c.representative),
+            "edge_count": c.edge_count,
+            "orbit_size": c.orbit_size,
+        } for c in classes)
     else:
         trees = enumerate_trees(args.n, args.edges)
-        payload = {
-            "format": ser.FORMAT,
-            "n": args.n,
-            "orbits": False,
-            "classes": [{"graph": graph_to_json(t)} for t in trees],
-        }
-    _emit(dumps(payload), args.out)
+        items = ({"graph": graph_to_json(t)} for t in trees)
+    # Each class is serialized as it is written: n = 9 has 660,032 of them.
+    payload = {"format": ser.FORMAT, "n": args.n, "orbits": orbits}
+    with _output(args.out) as fh:
+        ser.dump_listing(fh, payload, "classes", items)
     return 0
 
 
@@ -127,8 +126,8 @@ def _cmd_pushforward(args) -> int:
         t = annotate(_load_tree(args.tree))
     else:
         raise HyperstrataError("pushforward needs --tree or --tlg")
-    trace: list[str] = []
-    image = pushforward(t, trace)
+    image = pushforward(t)
+    trace = pushforward_trace(t, image)
     payload = graph_to_json(image)
     payload["graph_genus"] = genus(image)
     payload["trace"] = trace

@@ -7,7 +7,9 @@ or two rational vertices where rho = 0), with one edge over each odd edge
 and two over each even edge, and then stabilized.  Leaves of the tree are
 branch points and contribute no flags.  The pushforward stabilizes the
 lifted cover in one splice pass over its raw data, with the postconditions
-of ``stabilize``, so the image is the only Graph it builds.
+of ``stabilize``, so the image is the only Graph it builds.  It keeps no
+trace of its steps; the CLI rebuilds one from the annotated tree and the
+image with ``pushforward_trace``.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .graphs import (
 from .trees import AnnotatedTree, unnumbered_classes
 
 
-def admissible_cover_graph(t: AnnotatedTree, trace: list[str] | None = None) -> Graph:
+def admissible_cover_graph(t: AnnotatedTree) -> Graph:
     """The dual graph of the double cover, before stabilization.
 
     A tree vertex with rho >= 2 lifts to one vertex of genus (rho-2)/2; a
@@ -32,11 +34,11 @@ def admissible_cover_graph(t: AnnotatedTree, trace: list[str] | None = None) -> 
     ramified and lift to a single edge; even edges lift to a pair of edges,
     routed to keep the cover connected.
     """
-    parts, sigma, labels = _lift(t, trace)
+    parts, sigma, labels = _lift(t)
     return Graph(sigma.keys(), sigma, parts, labels)
 
 
-def _lift(t: AnnotatedTree, trace: list[str] | None
+def _lift(t: AnnotatedTree
           ) -> tuple[list[set[int]], dict[int, int], list[int]]:
     """The cover's vertex parts, involution and genus labels, unvalidated;
     every flag is half of an edge."""
@@ -47,20 +49,15 @@ def _lift(t: AnnotatedTree, trace: list[str] | None
     parts: list[set[int]] = []
     labels: list[int] = []
     covers: list[tuple[int, ...]] = []
-    for i, rho in enumerate(t.rho):
+    for rho in t.rho:
         if rho == 0:
             covers.append((len(parts), len(parts) + 1))
             parts.extend((set(), set()))
             labels.extend((0, 0))
-            if trace is not None:
-                trace.append(f"vertex {i}: rho=0, lifts to two rational vertices")
         else:
             covers.append((len(parts),))
             parts.append(set())
             labels.append((rho - 2) // 2)
-            if trace is not None:
-                trace.append(f"vertex {i}: rho={rho}, lifts to one vertex "
-                             f"of genus {(rho - 2) // 2}")
 
     sigma: dict[int, int] = {}
 
@@ -77,39 +74,45 @@ def _lift(t: AnnotatedTree, trace: list[str] | None
         if f2 <= f1:
             continue
         cu, cv = covers[index[f1]], covers[index[f2]]
-        if t.parity[f1] == 1:
-            new_edge(cu[0], cv[0])
-            if trace is not None:
-                trace.append(f"edge {[f1, f2]}: odd, one edge over it")
-        else:
-            # The lifts leave the first and the last vertex above each end,
-            # the same vertex when only one lies above it.
-            new_edge(cu[0], cv[0])
+        new_edge(cu[0], cv[0])
+        if t.parity[f1] != 1:
+            # An even edge lifts twice: the lifts leave the first and the
+            # last vertex above each end, the same vertex when only one
+            # lies above it.
             new_edge(cu[-1], cv[-1])
-            if trace is not None:
-                trace.append(f"edge {[f1, f2]}: even, two edges over it")
 
     return parts, sigma, labels
 
 
-def pushforward(t: AnnotatedTree, trace: list[str] | None = None) -> Graph:
+def pushforward(t: AnnotatedTree) -> Graph:
     """Stabilized cover graph: the genus-g dual graph of the image curve.
 
     Equal to ``stabilize(admissible_cover_graph(t))``: one splice pass over
     the lifted data builds the image, with the postconditions of
-    ``stabilize`` (stable, connected, genus g = n/2 - 1, no leaves)."""
-    parts, sigma, labels = _lift(t, trace)
-    before = len(sigma) // 2
-    result = _splice(sigma, parts, labels, len(t.graph.leaves) // 2 - 1, ())
-    if trace is not None:
-        spliced = before - result.edge_count
-        if spliced:
-            trace.append(f"stabilize: spliced out {spliced} two-flag "
-                         "rational vertices")
-        trace.append(f"image: genus {genus(result)}, "
-                     f"{len(result.vertices)} vertices, "
-                     f"{result.edge_count} edges")
-    return result
+    ``stabilize`` (stable, connected, genus g = n/2 - 1, no leaves).  It
+    keeps no trace; the CLI builds one with ``pushforward_trace``."""
+    parts, sigma, labels = _lift(t)
+    return _splice(sigma, parts, labels, len(t.graph.leaves) // 2 - 1, ())
+
+
+def pushforward_trace(t: AnnotatedTree, image: Graph) -> list[str]:
+    """The steps of ``pushforward(t)``, rebuilt from t and its image: how
+    each tree vertex and each edge, in lower-flag order, lifts; how many
+    two-flag vertices stabilization spliced out, if any; and the image."""
+    lines = [f"vertex {i}: rho=0, lifts to two rational vertices" if rho == 0
+             else f"vertex {i}: rho={rho}, lifts to one vertex of genus "
+             f"{(rho - 2) // 2}" for i, rho in enumerate(t.rho)]
+    for f1, f2 in sorted(t.graph.sigma.items()):
+        if f1 < f2:
+            kind = "odd, one edge" if t.parity[f1] == 1 else "even, two edges"
+            lines.append(f"edge {[f1, f2]}: {kind} over it")
+    spliced = len(_lift(t)[1]) // 2 - image.edge_count
+    if spliced:
+        lines.append(f"stabilize: spliced out {spliced} two-flag "
+                     "rational vertices")
+    lines.append(f"image: genus {genus(image)}, {len(image.vertices)} "
+                 f"vertices, {image.edge_count} edges")
+    return lines
 
 
 def rational_component_count(t: AnnotatedTree) -> int:

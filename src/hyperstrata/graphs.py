@@ -6,15 +6,15 @@ nonnegative genus label on every vertex.  Loops and parallel edges are fully
 supported; a vertex may end up with an empty flag set (the dual graph of a
 smooth unmarked curve).  Values are immutable after construction and all
 operations are pure functions, so they are safe to share between workers.
-Every construction is fully validated.  The flag set, the edge set and
-connectivity are derived on demand, on first use, and kept on the value; the
-involution's keys already are the flags.  Adjacency lists are rebuilt from
-the involution where needed rather than kept, since keeping them would cost
-memory on every graph.  A vertex part is a sorted tuple of its flags, not a
-frozenset: the garbage collector stops tracking a tuple of ints at its first
-collection (it always tracks a frozenset), so a large batch of graphs is not
-rescanned by every full collection, and the tuple is about a third of the
-size.
+Every construction is fully validated.  A graph holds only what its
+constructor computes, and nothing writes to it afterwards: derived data
+(the flag set, the edge set, connectivity, adjacency lists) is computed
+from the involution when asked for and never kept, since keeping it would
+cost memory on every graph.  A vertex part is a sorted tuple of its flags,
+not a frozenset: the garbage collector stops tracking a tuple of ints at
+its first collection (it always tracks a frozenset), so a large batch of
+graphs is not rescanned by every full collection, and the tuple is about a
+third of the size.
 
 Flag identifiers are opaque integers; neither vertex order nor flag order
 carries meaning.  Graph identity is defined by ``canonical_form`` only.
@@ -43,7 +43,7 @@ class Graph:
     """An immutable (flags, involution, vertex partition, genus) value."""
 
     __slots__ = ("sigma", "vertices", "genus_labels", "_vertex_index",
-                 "_flags", "_edges", "_leaves", "_connected")
+                 "_leaves")
 
     def __init__(self, flags: Iterable[Flag], sigma: Mapping[Flag, Flag],
                  vertices: Iterable[Iterable[Flag]],
@@ -58,9 +58,6 @@ class Graph:
                               for f in part}
         self._leaves = tuple(sorted(f for f, p in self.sigma.items()
                                     if p == f))
-        self._flags = None       # built by the flags property
-        self._edges = None       # built by the edges property
-        self._connected = None   # set by the first is_connected call
 
     def _validate(self, flags: frozenset) -> None:
         if not self.vertices:
@@ -82,9 +79,7 @@ class Graph:
     @property
     def flags(self) -> frozenset:
         """All flags: the keys of the involution, as a frozenset."""
-        if self._flags is None:
-            self._flags = frozenset(self.sigma)
-        return self._flags
+        return frozenset(self.sigma)
 
     @property
     def leaves(self) -> tuple[Flag, ...]:
@@ -94,10 +89,8 @@ class Graph:
     @property
     def edges(self) -> frozenset:
         """Two-element orbits of the involution, as frozensets of flags."""
-        if self._edges is None:
-            self._edges = frozenset(frozenset((f, p))
-                                    for f, p in self.sigma.items() if p != f)
-        return self._edges
+        return frozenset(frozenset((f, p))
+                         for f, p in self.sigma.items() if p != f)
 
     @property
     def edge_count(self) -> int:
@@ -174,11 +167,8 @@ def _spanning_tree(adj: list[list[int]], root: int = 0
 
 def is_connected(g: GraphLike) -> bool:
     g = _as_graph(g)
-    if g._connected is None:
-        nv = len(g.vertices)
-        g._connected = (nv == 1 or
-                        len(_spanning_tree(_vertex_adjacency(g))[0]) == nv)
-    return g._connected
+    nv = len(g.vertices)
+    return nv == 1 or len(_spanning_tree(_vertex_adjacency(g))[0]) == nv
 
 
 def betti1(g: GraphLike) -> int:
@@ -302,8 +292,9 @@ def contract_edges(g: GraphLike, edges_to_contract) -> GraphLike:
     numbered = isinstance(g, NumberedGraph)
     graph = _as_graph(g)
     chosen = {frozenset(e) for e in edges_to_contract}
+    edges = graph.edges
     for e in chosen:
-        if e not in graph.edges:
+        if e not in edges:
             raise UnknownEdge(f"{sorted(e)} is not an edge of the graph")
 
     parent = list(range(len(graph.vertices)))
@@ -519,14 +510,11 @@ def _searches(g: Graph, numbering: Mapping[Flag, int] | None,
               pinned: frozenset[Flag]) -> list[tuple[tuple, int]]:
     """Each connected component's (("t" | "m", encoding), automorphism
     order).  One adjacency and one colour list of the whole graph are
-    re-indexed per component; they also settle the graph's connectivity,
-    and a graph known to be connected is its own component."""
+    re-indexed per component; a connected graph is its own component."""
     adj = _vertex_adjacency(g)
     colors = _vertex_colors(g, numbering, pinned)
-    if g._connected is None:
-        g._connected = len(_spanning_tree(adj)[0]) == len(adj)
     components = [(adj, colors)]
-    if not g._connected:
+    if len(_spanning_tree(adj)[0]) != len(adj):
         components, seen = [], set()
         for start in range(len(adj)):
             if start not in seen:

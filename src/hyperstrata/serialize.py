@@ -220,3 +220,17 @@ def certificate_to_json(cert: Certificate) -> dict:
 
 def dumps(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def dump_listing(out, payload: dict, key: str, items) -> None:
+    """Write ``dumps(payload | {key: list(items)})`` to out, making and
+    writing one item at a time, so the list is never held whole.  payload
+    must be nonempty, and key must sort before each of its keys."""
+    out.write(f"{{\n  {json.dumps(key)}: [")
+    sep = "\n"
+    for item in items:
+        text = json.dumps(item, indent=2, sort_keys=True)
+        out.write(sep + "    " + text.replace("\n", "\n    "))
+        sep = ",\n"
+    out.write("]," if sep == "\n" else "\n  ],")
+    out.write(json.dumps(payload, indent=2, sort_keys=True)[1:] + "\n")

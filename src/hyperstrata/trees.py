@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from math import factorial, inf
 from operator import itemgetter
 from typing import Iterator, Optional
@@ -232,6 +233,23 @@ def _laminar_families(n: int, edge_count: Optional[int] = None
     yield from rec(0, [])
 
 
+def _numbered_tree(leaves, ends) -> NumberedGraph:
+    """The genus-0 tree with leaves 1..n on its vertices, in vertex order,
+    and an edge per (u, v) pair of ends, numbered by identity: the edges
+    take the flags n+1, n+2, ... in order, the lower one at u."""
+    parts = [list(p) for p in leaves]
+    n = sum(map(len, parts))
+    sigma: dict[int, int] = {}
+    f = n + 1
+    for u, v in ends:
+        sigma[f], sigma[f + 1] = f + 1, f
+        parts[u].append(f)
+        parts[v].append(f + 1)
+        f += 2
+    graph = Graph(range(1, f), sigma, parts, [0] * len(parts))
+    return NumberedGraph(graph, {k: k for k in range(1, n + 1)})
+
+
 def _family_to_tree(n: int, family: tuple[int, ...],
                     parents: tuple[int, ...]) -> tuple[bytes, NumberedGraph]:
     """The tree of a laminar family and its canonical form.
@@ -251,20 +269,13 @@ def _family_to_tree(n: int, family: tuple[int, ...],
                 v = i + 1
                 break
         parts[v].append(x)
-    adj: list[list[int]] = [[] for _ in parts]
-    colors = [(0, 0, tuple(p)) for p in parts]
-    sigma: dict[int, int] = {}
-    f_up = n + 1
+    adj: list[list[int]] = [[]] + [[p] for p in parents]
     for i, p in enumerate(parents):
         adj[p].append(i + 1)
-        adj[i + 1].append(p)
-        sigma[f_up], sigma[f_up + 1] = f_up + 1, f_up
-        parts[p].append(f_up)
-        parts[i + 1].append(f_up + 1)
-        f_up += 2
+    colors = [(0, 0, tuple(p)) for p in parts]
     key = _form_bytes(True, [("t", _tree_search(adj, colors)[0])])
-    graph = Graph(range(1, f_up), sigma, parts, [0] * len(parts))
-    return key, NumberedGraph(graph, {k: k for k in range(1, n + 1)})
+    ends = [(p, i + 1) for i, p in enumerate(parents)]
+    return key, _numbered_tree(parts, ends)
 
 
 def enumerate_trees(n: int, edge_count: Optional[int] = None
@@ -333,10 +344,10 @@ def _tree_shapes(nv: int) -> tuple:
     return tuple(out[k] for k in sorted(out))
 
 
-def _postorder(adj, root: int = 0):
-    """Children-first vertex order (the reverse of a preorder that takes
-    neighbours in adjacency order), and each vertex's parent."""
-    parent, stack, preorder = [-1] * len(adj), [root], []
+def _postorder(adj):
+    """Children-first vertex order from vertex 0 (the reverse of a preorder
+    that takes neighbours in adjacency order), and each vertex's parent."""
+    parent, stack, preorder = [-1] * len(adj), [0], []
     while stack:
         v = stack.pop()
         preorder.append(v)
@@ -410,23 +421,10 @@ def _weight_assignments(adj, total: int, only_good: bool
 
 def _shape_to_tree(adj, weights) -> NumberedGraph:
     """Leaves 1..n vertex by vertex, then a flag pair per edge."""
-    parts, nxt = [], 1
-    for wv in weights:
-        parts.append(set(range(nxt, nxt + wv)))
-        nxt += wv
-    numbering = {k: k for k in range(1, nxt)}
-    sigma: dict[int, int] = {}
-    for v, nbrs in enumerate(adj):
-        for u in nbrs:
-            if u > v:
-                sigma[nxt], sigma[nxt + 1] = nxt + 1, nxt
-                parts[v].add(nxt)
-                parts[u].add(nxt + 1)
-                nxt += 2
-    # Held to the return: freed sooner, it raised peak RSS 1.4 MB at g = 10.
-    flags = set().union(*parts)
-    graph = Graph(flags, sigma, parts, [0] * len(adj))
-    return NumberedGraph(graph, numbering)
+    starts = accumulate(weights, initial=1)
+    return _numbered_tree([range(a, a + wv) for a, wv in zip(starts, weights)],
+                          [(v, u) for v, nbrs in enumerate(adj)
+                           for u in nbrs if u > v])
 
 
 def unnumbered_classes(n: int, edge_count: Optional[int] = None,
@@ -482,16 +480,6 @@ def build_T_lg(l: int, g: int) -> AnnotatedTree:
     if g < 2 or not 0 <= l <= g:
         raise OutOfRange(f"need g >= 2 and 0 <= l <= g, got l={l}, g={g}")
     n = 2 * g + 2
-    sigma: dict[int, int] = {}
-    center = set(range(2 * l + 1, n + 1))
-    parts = [center]
-    for i in range(1, l + 1):
-        f_center, f_sat = n + 2 * i - 1, n + 2 * i
-        sigma[f_center] = f_sat
-        sigma[f_sat] = f_center
-        center.add(f_center)
-        parts.append({2 * i - 1, 2 * i, f_sat})
-    flags = set().union(*parts)
-    graph = Graph(flags, sigma, parts, [0] * len(parts))
-    numbered = NumberedGraph(graph, {k: k for k in range(1, n + 1)})
-    return annotate(numbered)
+    leaves = [range(2 * l + 1, n + 1)]
+    leaves += [(2 * i - 1, 2 * i) for i in range(1, l + 1)]
+    return annotate(_numbered_tree(leaves, [(0, i) for i in range(1, l + 1)]))

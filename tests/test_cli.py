@@ -1,16 +1,19 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
 
 from hyperstrata import cli
-from hyperstrata.errors import FormatError
+from hyperstrata.checks import run_checks
+from hyperstrata.errors import FormatError, OutOfRange
 from hyperstrata.graphs import canonical_form
 from hyperstrata.lie import dimension, normalize
 from hyperstrata.serialize import (
     annotated_from_json,
     annotated_to_json,
+    dumps,
     graph_from_json,
     graph_to_json,
     lie_vector_from_text,
@@ -19,7 +22,12 @@ from hyperstrata.serialize import (
     parse_bracket_expr,
 )
 from hyperstrata.spectral import AB
-from hyperstrata.trees import annotate, build_T_lg, enumerate_trees
+from hyperstrata.trees import (
+    annotate,
+    build_T_lg,
+    enumerate_trees,
+    unnumbered_classes,
+)
 
 
 def run_cli(capsys, *argv):
@@ -41,6 +49,33 @@ def test_enumerate_numbered_counts(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "--n", "4")
     assert code == 0
     assert len(json.loads(out)["classes"]) == 4
+
+
+@pytest.mark.parametrize("n, edges, orbits, good", [
+    (6, None, False, False), (7, None, True, False), (8, None, False, True),
+    (8, 3, False, True),    # no good (0, 8) tree has three edges
+])
+def test_enumerate_writes_what_dumps_would(capsys, tmp_path, n, edges,
+                                           orbits, good):
+    if orbits or good:
+        classes = [{"graph": graph_to_json(c.representative),
+                    "edge_count": c.edge_count, "orbit_size": c.orbit_size}
+                   for c in unnumbered_classes(n, edges, only_good=good)]
+    else:
+        classes = [{"graph": graph_to_json(t)}
+                   for t in enumerate_trees(n, edges)]
+    expected = dumps({"format": 1, "n": n, "orbits": orbits or good,
+                      "classes": classes})
+    assert ('"classes": []' in expected) == (edges == 3)
+    argv = ["enumerate", "--n", str(n)]
+    argv += ["--edges", str(edges)] * (edges is not None)
+    argv += ["--orbits"] * orbits + ["--good"] * good
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out == expected
+    path = tmp_path / "out.json"
+    code, out, _ = run_cli(capsys, *argv, "--out", str(path))
+    assert code == 0 and out == ""
+    assert path.read_text(encoding="utf-8") == expected
 
 
 def test_enumerate_good_filter(capsys):
@@ -71,6 +106,27 @@ def test_pushforward_tlg(capsys):
     assert payload["genus"] == [2]
     assert len(payload["involution"]) == 2      # two loops
     assert "stabilize" in err
+
+
+def test_pushforward_trace_is_pinned(capsys, tmp_path):
+    # stderr and the JSON trace of every star tree with g <= 5 and every
+    # (0, 8) class, whose trees include rho = 0 vertices and splices
+    runs = [("--tlg", f"{l},{g}") for g in range(2, 6) for l in range(g + 1)]
+    for i, c in enumerate(unnumbered_classes(8)):
+        path = tmp_path / f"class{i}.json"
+        path.write_text(json.dumps(graph_to_json(c.representative)))
+        runs.append(("--tree", str(path)))
+    digest, lines = hashlib.sha256(), []
+    for flag, value in runs:
+        code, out, err = run_cli(capsys, "pushforward", flag, value)
+        trace = json.loads(out)["trace"]
+        assert code == 0 and err == "".join(f"{x}\n" for x in trace)
+        digest.update(f"{err}\0{json.dumps(trace)}\0".encode())
+        lines += trace
+    assert any("rho=0" in x for x in lines)
+    assert any(x.startswith("stabilize:") for x in lines)
+    assert digest.hexdigest() == (
+        "4687ba7e1ef32c1aee392deb4a65bcc4c755510ceb2b854a6efed00d52676ad4")
 
 
 def test_pushforward_roundtrip_through_file(capsys, tmp_path):
@@ -146,6 +202,12 @@ def test_check_cli_quick(capsys):
     code, out, _ = run_cli(capsys, "check", "--level", "quick")
     assert code == 0
     assert all(line.startswith("PASS") for line in out.strip().splitlines())
+
+
+@pytest.mark.parametrize("level", ["Quick", "fast", "FULL", ""])
+def test_run_checks_rejects_unknown_levels(level):
+    with pytest.raises(OutOfRange):
+        run_checks(level)
 
 
 def test_usage_errors_exit_two(capsys):
@@ -233,13 +295,10 @@ def test_lyndon_long_word_exits_zero(capsys):
 
 
 def test_graph_json_reads_the_involution_only():
-    # Serializing must not fill the per-graph flag and edge caches, which
-    # would hold a frozenset per graph for every graph of a batch.
     for t in enumerate_trees(6, 3)[:5]:
         a = annotate(t)
         graph_to_json(t)
         annotated_to_json(a)
-        assert t.graph._flags is None and t.graph._edges is None
 
 
 def test_graph_json_roundtrip():

@@ -10,6 +10,7 @@ from hyperstrata.covers import (
     in_filtration,
     node_bound_report,
     pushforward,
+    pushforward_trace,
     rational_component_count,
     verify_injectivity,
 )
@@ -52,6 +53,19 @@ def test_odd_three_three_split():
     img = pushforward(t)
     assert sorted(img.genus_labels) == [1, 1]
     assert len(img.edges) == 1 and genus(img) == 2
+
+
+def test_trace_of_a_cover_that_needs_no_splice():
+    # the odd 3|3 split lifts to two elliptic vertices joined by one edge,
+    # already stable: the trace has no stabilize line
+    g = Graph(range(1, 9), {7: 8, 8: 7}, [{1, 2, 3, 7}, {4, 5, 6, 8}], [0, 0])
+    t = annotate(NumberedGraph(g, {k: k for k in range(1, 7)}))
+    assert pushforward_trace(t, pushforward(t)) == [
+        "vertex 0: rho=4, lifts to one vertex of genus 1",
+        "vertex 1: rho=4, lifts to one vertex of genus 1",
+        "edge [7, 8]: odd, one edge over it",
+        "image: genus 2, 2 vertices, 1 edges",
+    ]
 
 
 def test_even_two_and_rest_split():

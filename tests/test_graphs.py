@@ -30,7 +30,8 @@ from hyperstrata.graphs import (
     leq,
     stabilize,
 )
-from hyperstrata.covers import pushforward
+from hyperstrata.covers import admissible_cover_graph, pushforward
+from hyperstrata.serialize import graph_to_json
 from hyperstrata.trees import annotate, build_T_lg
 
 
@@ -150,7 +151,6 @@ def test_contract_everything_keeps_genus():
 
 def test_contract_unknown_edge():
     g = two_vertex_triple_edge()
-    assert g._edges is None             # the edge set is not built yet
     with pytest.raises(UnknownEdge):
         contract_edges(g, [frozenset({1, 2})])
 
@@ -163,13 +163,10 @@ def test_lazy_edges_match_the_involution():
     from hyperstrata.covers import pushforward
     from hyperstrata.trees import enumerate_trees, unnumbered_classes
 
-    # fresh graphs: the session fixtures may have built their edge sets
     trees = [t.graph for t in enumerate_trees(6)]
     images = [pushforward(c.annotated()) for c in unnumbered_classes(8)]
-    assert all(g._edges is None for g in trees + images)
     contracted = [contract_edges(g, [e]) for g in trees[:50] + images[:50]
                   for e in sorted(_eager_edges(g), key=sorted)[:1]]
-    assert all(g._edges is None for g in contracted)
     for g in trees + images + contracted:
         assert g.edges == _eager_edges(g)
         assert len(g.edges) == g.edge_count
@@ -580,19 +577,43 @@ def test_vertex_parts_are_sorted_tuples():
 
 
 def test_flag_set_is_derived_once_on_demand():
-    # A (0, 6) tree with two edges: nothing on the tree or image route
-    # needs the flag set, and it is built once when asked for.
+    # A (0, 6) tree with two edges: its flag set is the involution's keys.
     g = Graph(range(1, 11), {7: 8, 8: 7, 9: 10, 10: 9},
               [{1, 2, 7}, {3, 4, 8, 9}, {5, 6, 10}], [0, 0, 0])
     tree = NumberedGraph(g, {k: k for k in range(1, 7)})
     assert g.edge_count == 2 and "flags=10" in repr(g)
     canonical_form(g)
     canonical_form(tree)
-    image = pushforward(annotate(tree))
-    assert g._flags is None and image._flags is None
+    pushforward(annotate(tree))
     flags = g.flags
     assert type(flags) is frozenset and flags == frozenset(g.sigma)
-    assert g.flags is flags
+
+
+def test_graph_holds_only_what_its_constructor_sets():
+    assert Graph.__slots__ == ("sigma", "vertices", "genus_labels",
+                               "_vertex_index", "_leaves")
+    t = build_T_lg(2, 4)
+    disconnected = Graph(range(1, 5), {1: 2, 2: 1}, [{1, 2}, {3}, {4}],
+                         [0, 1, 1])
+    calls = [canonical_form, automorphism_count, is_connected, genus,
+             lambda g: g.flags, lambda g: g.edges, graph_to_json,
+             lambda g: contract_edges(g, sorted(g.edges, key=sorted)[:1])]
+    for g, graph_calls in [
+            (t.graph, calls + [lambda g: pushforward(t)]),
+            (pushforward(t), calls),
+            (admissible_cover_graph(t), calls + [stabilize]),
+            (disconnected, [f for f in calls if f is not genus])]:
+        for call in graph_calls:
+            before = [getattr(g, s) for s in Graph.__slots__]
+            sigma, index = dict(g.sigma), dict(g._vertex_index)
+            call(g)
+            assert all(x is getattr(g, s)
+                       for x, s in zip(before, Graph.__slots__))
+            assert g.sigma == sigma and g._vertex_index == index
+    before = [getattr(t.graph, s) for s in Graph.__slots__]
+    canonical_form(t.tree)
+    assert all(x is getattr(t.graph, s)
+               for x, s in zip(before, Graph.__slots__))
 
 
 @pytest.mark.parametrize("flags, sigma, parts, message", [
