@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from .errors import OddLeafTotal, OutOfRange
 from .graphs import (
     Graph,
+    _owner,
     _splice,
     canonical_form,
     genus,
@@ -68,12 +69,12 @@ def _lift(t: AnnotatedTree
         parts[v_part].add(f2)
 
     # Edges in order of their lower flag; this order numbers the cover's flags.
-    index = g._vertex_index
+    owner = _owner(g)
     for f1 in sorted(g.sigma):
         f2 = g.sigma[f1]
         if f2 <= f1:
             continue
-        cu, cv = covers[index[f1]], covers[index[f2]]
+        cu, cv = covers[owner[f1]], covers[owner[f2]]
         new_edge(cu[0], cv[0])
         if t.parity[f1] != 1:
             # An even edge lifts twice: the lifts leave the first and the

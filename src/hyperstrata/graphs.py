@@ -8,13 +8,14 @@ smooth unmarked curve).  Values are immutable after construction and all
 operations are pure functions, so they are safe to share between workers.
 Every construction is fully validated.  A graph holds only what its
 constructor computes, and nothing writes to it afterwards: derived data
-(the flag set, the edge set, connectivity, adjacency lists) is computed
-from the involution when asked for and never kept, since keeping it would
-cost memory on every graph.  A vertex part is a sorted tuple of its flags,
-not a frozenset: the garbage collector stops tracking a tuple of ints at
-its first collection (it always tracks a frozenset), so a large batch of
-graphs is not rescanned by every full collection, and the tuple is about a
-third of the size.
+(the flag set, the edge set, the flag-to-vertex map, connectivity,
+adjacency lists) is computed when asked for and never kept, since keeping
+it would cost memory on every graph; an operation that needs the
+flag-to-vertex map builds it once.  A vertex part is a sorted tuple of its
+flags, not a frozenset: the garbage collector stops tracking a tuple of
+ints at its first collection (it always tracks a frozenset), so a large
+batch of graphs is not rescanned by every full collection, and the tuple
+is about a third of the size.
 
 Flag identifiers are opaque integers; neither vertex order nor flag order
 carries meaning.  Graph identity is defined by ``canonical_form`` only.
@@ -42,8 +43,7 @@ Edge = frozenset
 class Graph:
     """An immutable (flags, involution, vertex partition, genus) value."""
 
-    __slots__ = ("sigma", "vertices", "genus_labels", "_vertex_index",
-                 "_leaves")
+    __slots__ = ("sigma", "vertices", "genus_labels", "_leaves")
 
     def __init__(self, flags: Iterable[Flag], sigma: Mapping[Flag, Flag],
                  vertices: Iterable[Iterable[Flag]],
@@ -54,8 +54,6 @@ class Graph:
                                for part in vertices])
         self.genus_labels = tuple(map(int, genus_labels))
         self._validate(flag_set)
-        self._vertex_index = {f: i for i, part in enumerate(self.vertices)
-                              for f in part}
         self._leaves = tuple(sorted(f for f, p in self.sigma.items()
                                     if p == f))
 
@@ -98,7 +96,9 @@ class Graph:
         return (len(self.sigma) - len(self._leaves)) // 2
 
     def vertex_of(self, flag: Flag) -> int:
-        return self._vertex_index[flag]
+        """The index of the vertex holding flag.  This builds the whole
+        flag-to-vertex map on every call, so a loop should build it once."""
+        return _owner(self)[flag]
 
     def __repr__(self) -> str:
         return (f"Graph(flags={len(self.sigma)}, vertices={len(self.vertices)}, "
@@ -137,15 +137,21 @@ def _as_graph(g: GraphLike) -> Graph:
     return g.graph if isinstance(g, NumberedGraph) else g
 
 
-def _vertex_adjacency(g: Graph) -> list[list[int]]:
+def _owner(g: Graph) -> dict[Flag, int]:
+    """The flag-to-vertex map: each flag's vertex index."""
+    return {f: i for i, part in enumerate(g.vertices) for f in part}
+
+
+def _vertex_adjacency(g: Graph, owner: Mapping[Flag, int] | None = None
+                      ) -> list[list[int]]:
     """Vertex adjacency lists from one walk over the flags: an edge is
     listed at both ends (a loop twice at its vertex), a parallel edge once
-    per copy."""
-    index = g._vertex_index
+    per copy.  Builds the flag-to-vertex map unless given it."""
+    owner = _owner(g) if owner is None else owner
     adj: list[list[int]] = [[] for _ in g.vertices]
     for f, p in g.sigma.items():
         if p != f:
-            adj[index[f]].append(index[p])
+            adj[owner[f]].append(owner[p])
     return adj
 
 
@@ -210,8 +216,11 @@ def stabilize(g: GraphLike) -> GraphLike:
     graph = _as_graph(g)
     if not is_connected(graph):
         raise DisconnectedGraph("stabilize requires a connected graph")
+    # genus(graph), without searching connectivity a second time
+    total = (sum(graph.genus_labels) + graph.edge_count
+             - len(graph.vertices) + 1)
     result = _splice(dict(graph.sigma), [set(p) for p in graph.vertices],
-                     list(graph.genus_labels), genus(graph), graph.leaves)
+                     list(graph.genus_labels), total, graph.leaves)
     if numbered:
         return NumberedGraph(result, g.numbering)
     return result
@@ -305,9 +314,10 @@ def contract_edges(g: GraphLike, edges_to_contract) -> GraphLike:
             x = parent[x]
         return x
 
+    owner = _owner(graph)
     for e in chosen:
         f1, f2 = sorted(e)
-        a, b = find(graph.vertex_of(f1)), find(graph.vertex_of(f2))
+        a, b = find(owner[f1]), find(owner[f2])
         if a != b:
             parent[a] = b
 
@@ -317,7 +327,7 @@ def contract_edges(g: GraphLike, edges_to_contract) -> GraphLike:
     internal_edges: dict[int, int] = {r: 0 for r in clusters}
     for e in chosen:
         f1, _ = sorted(e)
-        internal_edges[find(graph.vertex_of(f1))] += 1
+        internal_edges[find(owner[f1])] += 1
 
     dropped = {f for e in chosen for f in e}
     new_parts, new_labels = [], []
@@ -417,10 +427,12 @@ def _rooted(adj, colors, root: int, parent: int | None) -> tuple[tuple, int]:
     return (colors[root], tuple([enc for enc, _ in kids])), count
 
 
-def _tree_search(adj, colors) -> tuple[tuple, int]:
+def _tree_search(adj, colors, centers: list[int] | None = None
+                 ) -> tuple[tuple, int]:
     """A tree's encoding, rooted at its centre, and its automorphism order;
-    two equal halves of a bicentral tree may also swap."""
-    centers = _tree_centers(adj)
+    two equal halves of a bicentral tree may also swap.  The centres depend
+    only on the shape, so a caller may pass them in."""
+    centers = _tree_centers(adj) if centers is None else centers
     if len(centers) == 1:
         enc, count = _rooted(adj, colors, centers[0], None)
         return ("c1", enc), count

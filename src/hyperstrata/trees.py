@@ -36,7 +36,9 @@ from .graphs import (
     Graph,
     NumberedGraph,
     _form_bytes,
+    _owner,
     _spanning_tree,
+    _tree_centers,
     _tree_search,
     _vertex_adjacency,
     automorphism_count,
@@ -44,8 +46,9 @@ from .graphs import (
     graph_type,
 )
 
-# enumerate_trees grows like n!: n = 8 takes 3.1-3.6 s and 114 MB max RSS,
-# n = 9 takes 74 s and 1.8 GB (660,032 trees); n = 10 would build 12,818,912.
+# enumerate_trees grows like n!: n = 8 takes 3.1-3.9 s and 91 MB max RSS,
+# n = 9 takes 79 s and 1.38 GB (660,032 trees), and `enumerate --n 9` 170 s
+# and 1.38 GB, both in a 4 GB address space; n = 10 would build 12,818,912.
 MAX_LEAVES_NUMBERED = 9
 MAX_LEAVES = 12
 # The goodness-pruned search stays small far beyond the full enumeration
@@ -123,7 +126,8 @@ def annotate(t: NumberedGraph) -> AnnotatedTree:
     g = t.graph
     if any(g.genus_labels):
         raise NotATree("annotation requires genus 0 at every vertex")
-    order, parent = _spanning_tree(_vertex_adjacency(g))
+    sigma, owner = g.sigma, _owner(g)
+    order, parent = _spanning_tree(_vertex_adjacency(g, owner))
     nv = len(g.vertices)
     if len(order) != nv or g.edge_count != nv - 1:
         raise NotATree("annotation requires a connected tree")
@@ -131,7 +135,6 @@ def annotate(t: NumberedGraph) -> AnnotatedTree:
     if n % 2:
         raise OddLeafTotal(f"edge parity is undefined for {n} leaves")
 
-    sigma, index = g.sigma, g._vertex_index
     subtree = [sum(1 for f in part if sigma[f] == f) for part in g.vertices]
     for v in reversed(order[1:]):
         subtree[parent[v]] += subtree[v]
@@ -146,7 +149,7 @@ def annotate(t: NumberedGraph) -> AnnotatedTree:
             if p == f:
                 x = 1
             else:
-                v = index[p]
+                v = owner[p]
                 x = subtree[v if parent[v] == u else u] % 2
                 edges += 1
             parity[f] = x
@@ -453,8 +456,10 @@ def unnumbered_classes(n: int, edge_count: Optional[int] = None,
         if _leaf_budget(k + 1, only_good) > n:
             continue
         for adj in _tree_shapes(k + 1):
+            centers = _tree_centers(adj)
             for weights in _weight_assignments(adj, n, only_good):
-                enc, aut = _tree_search(adj, [(0, wv, ()) for wv in weights])
+                enc, aut = _tree_search(adj, [(0, wv, ()) for wv in weights],
+                                        centers)
                 key = _form_bytes(False, [("t", enc)])
                 if key in found:
                     continue

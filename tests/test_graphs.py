@@ -590,8 +590,7 @@ def test_flag_set_is_derived_once_on_demand():
 
 
 def test_graph_holds_only_what_its_constructor_sets():
-    assert Graph.__slots__ == ("sigma", "vertices", "genus_labels",
-                               "_vertex_index", "_leaves")
+    assert Graph.__slots__ == ("sigma", "vertices", "genus_labels", "_leaves")
     t = build_T_lg(2, 4)
     disconnected = Graph(range(1, 5), {1: 2, 2: 1}, [{1, 2}, {3}, {4}],
                          [0, 1, 1])
@@ -605,15 +604,74 @@ def test_graph_holds_only_what_its_constructor_sets():
             (disconnected, [f for f in calls if f is not genus])]:
         for call in graph_calls:
             before = [getattr(g, s) for s in Graph.__slots__]
-            sigma, index = dict(g.sigma), dict(g._vertex_index)
+            sigma = dict(g.sigma)
             call(g)
             assert all(x is getattr(g, s)
                        for x, s in zip(before, Graph.__slots__))
-            assert g.sigma == sigma and g._vertex_index == index
+            assert g.sigma == sigma
+        # no per-flag map besides the involution itself
+        assert not any(isinstance(getattr(g, s), dict)
+                       for s in Graph.__slots__ if s != "sigma")
     before = [getattr(t.graph, s) for s in Graph.__slots__]
     canonical_form(t.tree)
     assert all(x is getattr(t.graph, s)
                for x, s in zip(before, Graph.__slots__))
+
+
+def test_vertex_of_names_the_part_holding_each_flag(numbered):
+    trees = numbered(6)
+    pool = [t.graph for t in trees]
+    pool += [pushforward(annotate(t)) for t in trees]
+    pool += [pushforward(annotate(_pendant_tree(k))) for k in range(4, 7)]
+    pool.append(Graph(range(1, 5), {1: 2, 2: 1}, [{1, 2}, {3}, {4}],
+                      [0, 1, 1]))
+    for g in pool:
+        for f in g.sigma:
+            assert g.vertex_of(f) == next(i for i, part in
+                                          enumerate(g.vertices) if f in part)
+        with pytest.raises(KeyError):
+            g.vertex_of(max(g.sigma, default=0) + 1)
+
+
+def test_annotate_and_pushforward_build_the_vertex_map_once(numbered,
+                                                            monkeypatch):
+    from hyperstrata import covers, graphs, trees
+
+    builds = []
+    owner = graphs._owner
+
+    def counted(g):
+        builds.append(g)
+        return owner(g)
+
+    for module in (graphs, trees, covers):
+        monkeypatch.setattr(module, "_owner", counted)
+    # pushforward maps the tree once, in the lift, and the image at most
+    # once, in the splice's connectivity postcondition
+    for t in numbered(6) + [_pendant_tree(k) for k in range(2, 7)]:
+        builds.clear()
+        a = annotate(t)
+        assert builds == [t.graph]
+        builds.clear()
+        pushforward(a)
+        assert builds[0] is t.graph
+        assert len({id(g) for g in builds}) == len(builds) <= 2
+
+
+def test_stabilize_searches_connectivity_once(monkeypatch):
+    from hyperstrata import graphs
+
+    g = admissible_cover_graph(build_T_lg(2, 4))
+    calls = []
+    search = graphs._spanning_tree
+
+    def counted(adj, root=0):
+        calls.append(root)
+        return search(adj, root)
+
+    monkeypatch.setattr(graphs, "_spanning_tree", counted)
+    stabilize(g)
+    assert calls == [0]
 
 
 @pytest.mark.parametrize("flags, sigma, parts, message", [

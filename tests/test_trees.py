@@ -381,6 +381,31 @@ def test_class_representatives_are_pinned(orbits):
         "bb7faace6364e2767a7aaef4c94754bf33a51125ce73991a72aecc0374727e05"
 
 
+def test_tree_centres_are_found_once_per_shape(monkeypatch):
+    # The centres depend only on the shape, not on its weight vectors.
+    from hyperstrata import graphs, trees
+
+    runs = [(n, None, False) for n in range(4, 13)]
+    runs += [(2 * g + 2, None, True) for g in range(2, 8)] + [(22, 9, True)]
+    shapes = 0
+    for n, edge_count, good in runs:
+        ks = range(n - 2) if edge_count is None else [edge_count]
+        shapes += sum(len(_tree_shapes(k + 1)) for k in ks
+                      if _leaf_budget(k + 1, good) <= n)
+    calls = []
+    centers = graphs._tree_centers
+
+    def counted(adj):
+        calls.append(len(adj))
+        return centers(adj)
+
+    monkeypatch.setattr(graphs, "_tree_centers", counted)
+    monkeypatch.setattr(trees, "_tree_centers", counted)
+    for n, edge_count, good in runs:
+        trees.unnumbered_classes(n, edge_count, good)
+    assert len(calls) == shapes
+
+
 def test_weight_assignments_match_brute_force():
     # Oracle: every vector of per-vertex weights, stable at each vertex and
     # with the right total, in lexicographic order along the postorder
