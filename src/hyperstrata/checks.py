@@ -1,7 +1,7 @@
 """Self-contained invariant audits, used by the ``check`` CLI command.
 
 Each audit returns a CheckResult; ``run_checks`` collects the quick or full
-battery.  The full battery mirrors the acceptance suite: exact expectations,
+battery.  The acceptance suite runs the full battery: exact expectations,
 no tolerances.
 """
 
@@ -19,7 +19,7 @@ from .covers import (
     verify_injectivity,
 )
 from .errors import OutOfRange
-from .graphs import automorphism_count, genus, graph_type, is_stable
+from .graphs import automorphism_count, genus, is_stable
 from .lie import GradedAlphabet, dimension, oracle_component
 from .spectral import (
     AB,
@@ -90,29 +90,38 @@ def check_lyndon_oracle(total_max: int):
                 f"{mismatches or 'none'}; multilinear (n-1)! n<=7: {multi_ok}")
 
 
+def filtration_faults(t, image, g: int) -> list[str]:
+    """The filtration predicates that one annotated tree with 2g+2 leaves
+    and its image fail: level 0 of the filtration is the good trees, the
+    image has rational_component_count(t) rational vertices, and a good
+    tree has at most g-1 edges."""
+    good = is_good(t)
+    held = {"filtration": in_filtration(t, 0) == good,
+            "rational-count": (rational_component_count(t)
+                               == image.genus_labels.count(0)),
+            "edge-bound": not good or t.edge_count <= g - 1}
+    return [fault for fault, ok in held.items() if not ok]
+
+
+def genus_preserved(image, g: int) -> bool:
+    """The image of a tree with 2g+2 leaves is stable of genus g, no leaves."""
+    return genus(image) == g and is_stable(image) and not image.leaves
+
+
 def check_filtration(gmax: int):
     bad = []
     for g in range(2, gmax + 1):
         for cls in unnumbered_classes(2 * g + 2):
             t = cls.annotated()
-            img = pushforward(t)
-            rc = rational_component_count(t)
-            if in_filtration(t, 0) != is_good(t):
-                bad.append((g, cls.profile(), "filtration"))
-            if rc != sum(1 for x in img.genus_labels if x == 0):
-                bad.append((g, cls.profile(), "rational-count"))
-            if is_good(t) and cls.edge_count > g - 1:
-                bad.append((g, cls.profile(), "edge-bound"))
+            bad += [(g, cls.profile(), fault)
+                    for fault in filtration_faults(t, pushforward(t), g)]
     return not bad, f"genus 2..{gmax} exhaustive; failures: {bad or 'none'}"
 
 
 def check_genus_preservation(gmax: int):
-    bad = []
-    for g in range(2, gmax + 1):
-        for cls in unnumbered_classes(2 * g + 2):
-            img = pushforward(cls.annotated())
-            if genus(img) != g or not is_stable(img) or graph_type(img).leaf_count:
-                bad.append((g, cls.profile()))
+    bad = [(g, cls.profile()) for g in range(2, gmax + 1)
+           for cls in unnumbered_classes(2 * g + 2)
+           if not genus_preserved(pushforward(cls.annotated()), g)]
     return not bad, f"genus 2..{gmax} exhaustive; failures: {bad or 'none'}"
 
 
@@ -156,11 +165,8 @@ def check_enumeration(nmax: int):
 
 
 def check_node_bound(gmax: int):
-    bad = []
-    for g in range(2, gmax + 1):
-        for k in (0, 1):
-            if not node_bound_report(g, k).ok:
-                bad.append((g, k))
+    bad = [(g, k) for g in range(2, gmax + 1) for k in (0, 1)
+           if not node_bound_report(g, k).ok]
     return not bad, f"genus 2..{gmax}, k in 0..1; failures: {bad or 'none'}"
 
 

@@ -103,11 +103,13 @@ def pushforward_trace(t: AnnotatedTree, image: Graph) -> list[str]:
     lines = [f"vertex {i}: rho=0, lifts to two rational vertices" if rho == 0
              else f"vertex {i}: rho={rho}, lifts to one vertex of genus "
              f"{(rho - 2) // 2}" for i, rho in enumerate(t.rho)]
+    lifted = 0      # an odd edge lifts to one edge, an even edge to two
     for f1, f2 in sorted(t.graph.sigma.items()):
         if f1 < f2:
+            lifted += 2 - t.parity[f1]
             kind = "odd, one edge" if t.parity[f1] == 1 else "even, two edges"
             lines.append(f"edge {[f1, f2]}: {kind} over it")
-    spliced = len(_lift(t)[1]) // 2 - image.edge_count
+    spliced = lifted - image.edge_count
     if spliced:
         lines.append(f"stabilize: spliced out {spliced} two-flag "
                      "rational vertices")

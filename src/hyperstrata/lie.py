@@ -76,15 +76,6 @@ class GradedAlphabet:
     def text(self, word_key: tuple[int, ...]) -> str:
         return "".join(self.letters[i] for i in word_key)
 
-    def word_degree(self, word_key: tuple[int, ...]) -> int:
-        return sum(self.degrees[i] for i in word_key) % 2
-
-    def multidegree(self, word_key: tuple[int, ...]) -> tuple[int, ...]:
-        counts = [0] * len(self.letters)
-        for i in word_key:
-            counts[i] += 1
-        return tuple(counts)
-
     def __repr__(self) -> str:
         spec = ",".join(f"{x}:{'odd' if d else 'even'}"
                         for x, d in zip(self.letters, self.degrees))
@@ -495,7 +486,7 @@ def basis_vector(word, alphabet: GradedAlphabet, square: bool = False
     if not _is_lyndon_key(key):
         raise NotLyndon(f"{alphabet.text(key)} is not a Lyndon word")
     kind = "sq" if square else "w"
-    if square and alphabet.word_degree(key) != 1:
+    if square and _wdeg(alphabet.degrees, key) != 1:
         raise ValueError("squares exist only for odd-degree words")
     return LieVector(alphabet, {(kind, key): Fraction(1)})
 

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from hyperstrata import cli
+from hyperstrata import checks, cli, spectral
 from hyperstrata.checks import run_checks
 from hyperstrata.errors import FormatError, OutOfRange
 from hyperstrata.graphs import canonical_form
@@ -202,6 +202,28 @@ def test_check_cli_quick(capsys):
     code, out, _ = run_cli(capsys, "check", "--level", "quick")
     assert code == 0
     assert all(line.startswith("PASS") for line in out.strip().splitlines())
+
+
+def test_check_cli_fails_under_a_planted_fault(capsys, monkeypatch):
+    genus = checks.genus
+    monkeypatch.setattr(checks, "genus", lambda g: genus(g) + 1)
+    code, out, err = run_cli(capsys, "check", "--level", "quick")
+    lines = out.strip().splitlines()
+    assert code == 1
+    assert [line.split()[1] for line in lines if line.startswith("FAIL")] \
+        == ["genus-preservation", "overall:"]
+    assert lines[-1].startswith("FAIL overall")
+    assert "Traceback" not in out + err
+
+
+def test_certify_cli_fails_with_an_offender(capsys, monkeypatch):
+    monkeypatch.setattr(spectral, "good_classes",
+                        lambda g, edge_count=None: ["offender"])
+    code, out, err = run_cli(capsys, "certify", "--genus", "3")
+    payload = json.loads(out)
+    assert code == 1
+    assert payload["passed"] is False and payload["f1_cell_empty"] is False
+    assert "FAILED" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("level", ["Quick", "fast", "FULL", ""])
