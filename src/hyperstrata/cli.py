@@ -157,11 +157,11 @@ def _cmd_normalize(args) -> int:
 
 
 def _cmd_d1(args) -> int:
-    g = args.genus
+    # omega refuses a genus past spectral.MAX_D1_GENUS before any Lie work
+    x = omega(args.genus)
     if args.word:
-        x = VSpaceElement(g, args.word.count("b"), basis_vector(args.word, AB))
-    else:
-        x = omega(g)
+        x = VSpaceElement(x.g, args.word.count("b"),
+                          basis_vector(args.word, AB))
     image = d1(x)
     _emit(lie_vector_to_text(image.vector) + "\n", args.out)
     return 0

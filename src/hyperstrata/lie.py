@@ -12,8 +12,11 @@ classical bottom-up rewriting: a product [B(m), B(n)] of basis words with
 m < n either is the basis element B(mn) outright (when n is not larger than
 the standard right factor of m) or is expanded through the Jacobi identity
 on the standard factorization of m.  The engine is validated elsewhere
-against an independent oracle that expands everything in the free
-associative superalgebra and row-reduces with exact arithmetic.
+against an independent oracle: the span of all full bracketings inside the
+free associative superalgebra, row-reduced with exact integer arithmetic.
+The oracle builds that span by bilinearity, from the commutators of the
+spans of smaller multidegrees; it is the same span as that of every
+bracketing expanded one by one, which the tests keep as the reference.
 
 Words are tuples of alphabet indices internally; the public surface speaks
 strings of single-character letters.  Bracket expressions are nested pairs,
@@ -25,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import factorial, gcd
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
@@ -37,8 +41,15 @@ _Key = tuple  # ("w", word) or ("sq", word); word = tuple of letter indices
 # counts, so it is bounded by the letters written, words times length:
 # (10, 10) writes 3.7e6 in 0.8 s, (11, 11) 1.6e7 in 2.7 s, (4, 60) 4.1e7 in
 # 4.3 s; (12, 12) would write 6.5e7.  A bound on words alone would accept
-# (1, 999999), 10^6 words of 10^6 letters.  The oracle stops at degree 8.
+# (1, 999999), 10^6 words of 10^6 letters.
 MAX_LETTERS = 5 * 10 ** 7
+# oracle_component row-reduces inside the span of the words of its
+# multidegree.  On the letters a, b each component of total 12 takes at most
+# 0.4 s (1.3 s for all 13, 19 MB max RSS) on a shared 2-CPU machine, and
+# total 13 would take 1.4 s (4.3 s).  More distinct letters have more words
+# at one total: the 7- and 8-letter multilinear components take 0.9 s and
+# 23 s.
+MAX_ORACLE_TOTAL = 12
 
 
 class GradedAlphabet:
@@ -505,20 +516,26 @@ def bracket(x: LieVector, y: LieVector) -> LieVector:
 # Lie superalgebra embeds into in characteristic zero.
 # --------------------------------------------------------------------------
 
-def _assoc_expand(degrees: tuple[int, ...], node) -> tuple[dict, int]:
-    """Expansion of a bracket expression in the free associative
-    superalgebra; returns (coefficients by word, Z/2 degree)."""
-    if isinstance(node, int):
-        return {(node,): 1}, degrees[node]
-    left, dl = _assoc_expand(degrees, node[0])
-    right, dr = _assoc_expand(degrees, node[1])
-    sign = -1 if (dl and dr) else 1
+def _commutator(degrees: tuple[int, ...], x: dict, y: dict) -> dict:
+    """[x, y] = xy - (-1)^{|x||y|} yx for homogeneous x, y by word."""
+    if not (x and y):
+        return {}
+    odd = _wdeg(degrees, next(iter(x))) and _wdeg(degrees, next(iter(y)))
     out: dict[tuple[int, ...], int] = {}
-    for wa, ca in left.items():
-        for wb, cb in right.items():
+    for wa, ca in x.items():
+        for wb, cb in y.items():
             out[wa + wb] = out.get(wa + wb, 0) + ca * cb
-            out[wb + wa] = out.get(wb + wa, 0) - sign * cb * ca
-    return {w: c for w, c in out.items() if c}, (dl + dr) % 2
+            out[wb + wa] = out.get(wb + wa, 0) + (ca * cb if odd else -ca * cb)
+    return {w: c for w, c in out.items() if c}
+
+
+def _assoc_expand(degrees: tuple[int, ...], node) -> dict:
+    """Expansion of a bracket expression in the free associative
+    superalgebra, as coefficients by word."""
+    if isinstance(node, int):
+        return {(node,): 1}
+    return _commutator(degrees, _assoc_expand(degrees, node[0]),
+                       _assoc_expand(degrees, node[1]))
 
 
 def _key_to_node(key: _Key):
@@ -539,8 +556,7 @@ def associative_expansion(obj, alphabet: GradedAlphabet) -> dict[str, Fraction]:
     else:
         pairs = [(Fraction(1), _to_internal(obj, alphabet))]
     for coeff, node in pairs:
-        expansion, _ = _assoc_expand(degrees, node)
-        for w, c in expansion.items():
+        for w, c in _assoc_expand(degrees, node).items():
             acc[w] = acc.get(w, Fraction(0)) + coeff * c
     return {alphabet.text(w): c for w, c in acc.items() if c}
 
@@ -589,16 +605,6 @@ class _IntEchelon:
         return len(self.pivots)
 
 
-def _all_bracketings(word: tuple[int, ...]):
-    if len(word) == 1:
-        yield word[0]
-        return
-    for i in range(1, len(word)):
-        for left in _all_bracketings(word[:i]):
-            for right in _all_bracketings(word[i:]):
-                yield (left, right)
-
-
 @dataclass(frozen=True)
 class OracleComponent:
     """Exact dimension of one multidegree component, with a membership test
@@ -611,18 +617,27 @@ class OracleComponent:
 
 def oracle_component(alphabet: GradedAlphabet, multidegree) -> OracleComponent:
     """Row-reduce the span of all full bracketings of all words of the
-    multidegree inside the free associative superalgebra."""
-    counts = _as_counts(alphabet, multidegree)
-    total = sum(counts)
-    if not 1 <= total <= 8:
-        raise TooLarge(f"oracle supports total degree 1..8, got {total}")
+    multidegree inside the free associative superalgebra.  That span is
+    built by bilinearity: the span of m is spanned by [x, y] for x, y in the
+    spans of m1 and m2 over the splits m1 + m2 = m, with m1 <= m2 since
+    [y, x] = +-[x, y]; a single letter spans its own component."""
+    counts = tuple(_as_counts(alphabet, multidegree))
+    if not 1 <= sum(counts) <= MAX_ORACLE_TOTAL:
+        raise TooLarge(f"oracle supports total degree 1..{MAX_ORACLE_TOTAL}, "
+                       f"got {sum(counts)}")
     degrees = alphabet.degrees
-    ech = _IntEchelon()
-    for word in _multiset_permutations(list(counts)):
-        for node in _all_bracketings(word):
-            expansion, _ = _assoc_expand(degrees, node)
-            if expansion:
-                ech.insert(expansion)
+    spans: dict[tuple[int, ...], _IntEchelon] = {}
+    for m in sorted(product(*(range(c + 1) for c in counts)), key=sum)[1:]:
+        ech = spans[m] = _IntEchelon()
+        if sum(m) == 1:
+            ech.insert({(m.index(1),): 1})
+        for m1 in product(*(range(c + 1) for c in m)):
+            m2 = tuple(c - c1 for c, c1 in zip(m, m1))
+            if any(m1) and m1 <= m2:
+                for x in spans[m1].pivots.values():
+                    for y in spans[m2].pivots.values():
+                        ech.insert(_commutator(degrees, x, y))
+    ech = spans[counts]
 
     def contains(obj) -> bool:
         exp = associative_expansion(obj, alphabet)
@@ -634,4 +649,4 @@ def oracle_component(alphabet: GradedAlphabet, multidegree) -> OracleComponent:
         row = {alphabet.key(w): int(c * scale) for w, c in exp.items()}
         return not ech.reduce(row)
 
-    return OracleComponent(tuple(counts), ech.rank, contains)
+    return OracleComponent(counts, ech.rank, contains)

@@ -30,6 +30,7 @@ from .errors import (
     NotATree,
     OddLeafTotal,
     OutOfRange,
+    TooLarge,
     TypeMismatch,
 )
 from .graphs import (
@@ -54,6 +55,10 @@ MAX_LEAVES = 12
 # The goodness-pruned search stays small far beyond the full enumeration
 # bound; 22 leaves covers certificates and F1 tables up to genus 10.
 MAX_LEAVES_GOOD = 22
+# A star tree has 2g + 2 leaves, and `pushforward --tlg g,g` takes 0.7 s at
+# g = 4000 and 2.7 s at g = 8000; g = 10^5 ran past a minute and g = 10^12
+# ran out of memory.
+MAX_GENUS_STAR = 4000
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -484,6 +489,8 @@ def build_T_lg(l: int, g: int) -> AnnotatedTree:
     """
     if g < 2 or not 0 <= l <= g:
         raise OutOfRange(f"need g >= 2 and 0 <= l <= g, got l={l}, g={g}")
+    if g > MAX_GENUS_STAR:
+        raise TooLarge(f"star tree genus {g} exceeds {MAX_GENUS_STAR}")
     n = 2 * g + 2
     leaves = [range(2 * l + 1, n + 1)]
     leaves += [(2 * i - 1, 2 * i) for i in range(1, l + 1)]

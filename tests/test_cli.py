@@ -1,13 +1,17 @@
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
+from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hyperstrata import checks, cli, spectral
 from hyperstrata.checks import run_checks
-from hyperstrata.errors import FormatError, OutOfRange
+from hyperstrata.errors import FormatError, OutOfRange, TooLarge
 from hyperstrata.graphs import canonical_form
 from hyperstrata.lie import dimension, normalize
 from hyperstrata.serialize import (
@@ -186,6 +190,23 @@ def test_d1_cli(capsys):
     assert code == 0 and out.strip() == "2·aaab"
 
 
+@pytest.mark.parametrize("word", [None, "a" + "b" * 61])
+@pytest.mark.parametrize("genus", [spectral.MAX_D1_GENUS + 1, 10 ** 18])
+def test_d1_refuses_a_large_genus_before_any_lie_work(capsys, monkeypatch,
+                                                      genus, word):
+    def no_lie_work(*args):
+        raise AssertionError("Lie work before the genus was refused")
+
+    for name in ("d1", "basis_vector"):
+        monkeypatch.setattr(cli, name, no_lie_work)
+    argv = ["d1", "--genus", str(genus)] + ["--word", word] * bool(word)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"genus {genus} exceeds {spectral.MAX_D1_GENUS}" in err
+    with pytest.raises(TooLarge):
+        spectral.VSpaceElement(genus, 1, normalize(("a", "b"), AB))
+
+
 def test_tables_cli(capsys):
     code, out, _ = run_cli(capsys, "tables", "--kind", "e1", "--n", "4")
     assert code == 0
@@ -264,6 +285,8 @@ def test_e1_table_beyond_max_leaves_exits_two(capsys):
     ("lyndon", "--degree", "40,40"),
     ("lyndon", "--degree", "1000000,1000000"),
     ("lyndon", "--degree", "0,1000000000"),
+    ("d1", "--genus", "100000"),
+    ("pushforward", "--tlg", "1,1000000000000"),
 ])
 def test_bad_input_exits_two_without_traceback(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -302,6 +325,163 @@ def test_out_flag_writes_file(capsys, tmp_path):
                            "--out", str(target))
     assert code == 0 and out == ""
     assert json.loads(target.read_text())["passed"] is True
+
+
+# --------------------------------------------------------------------------
+# Random command lines.
+# --------------------------------------------------------------------------
+
+# Integers for size flags: small values around every range's ends, and
+# out-of-range and huge ones.  Valid sizes that are expensive are left out for
+# cost only, never for a fault: numbered `enumerate --n` 8 and 9 (4 s and
+# 170 s), `enumerate --good --n` past 18, `tables --kind f1 --genus` 8 to 10,
+# `d1 --genus` 31 to 60 (up to 0.6 s each), `lyndon` past 10^5 letters
+# written, `check --level full` (1.6 s) and bracket expressions past eight
+# letters, which `normalize` expands without a size bound.
+_INT = st.one_of(st.integers(-3, 24),
+                 st.sampled_from([10 ** 6, 10 ** 12, 10 ** 18, -10 ** 18]))
+_TEXT = st.text(alphabet="abcxyz019[],:- ", max_size=10)
+
+
+def _ints(values):
+    return st.one_of(st.lists(values, min_size=1, max_size=4).map(
+        lambda xs: ",".join(map(str, xs))), _TEXT)
+
+
+def _alphabet():
+    item = st.tuples(st.sampled_from("abcxy1"),
+                     st.sampled_from(["odd", "even", "0", "1", "strange"]))
+    return st.one_of(st.lists(item, min_size=1, max_size=4).map(
+        lambda items: ",".join(f"{x}:{p}" for x, p in items)), _TEXT)
+
+
+def _expression():
+    letter = st.sampled_from("abcx")
+    tree = st.recursive(letter, lambda c: st.tuples(c, c), max_leaves=8)
+
+    def text(node):
+        if isinstance(node, str):
+            return node
+        return f"[{text(node[0])},{text(node[1])}]"
+
+    return st.one_of(tree.map(text), _TEXT)
+
+
+def _letters_written(counts) -> int:
+    """The letters `lyndon` writes for counts in 0..24."""
+    words = factorial(sum(counts))
+    for c in counts:
+        words //= factorial(c)
+    return sum(counts) * words
+
+
+def _cheap(argv) -> bool:
+    """False for the valid but expensive sizes named above."""
+    flags = dict(zip(argv, argv[1:]))
+
+    def number(flag):
+        try:
+            return int(flags[flag])
+        except (KeyError, ValueError):
+            return None
+
+    command, n, g = argv[0], number("--n"), number("--genus")
+    if command == "enumerate":
+        if "--good" in argv:
+            return n is None or not 19 <= n <= 22
+        return "--orbits" in argv or n not in (8, 9)
+    if command == "tables":
+        return "f1" not in argv or g is None or not 8 <= g <= 10
+    if command == "d1":
+        return g is None or not 31 <= g <= 60
+    if command == "lyndon":
+        try:
+            counts = [int(c) for c in flags["--degree"].split(",")]
+        except (KeyError, ValueError):
+            return True
+        # a huge count is refused, or is the only letter and one word
+        return not (all(0 <= c <= 24 for c in counts) and
+                    10 ** 5 < _letters_written(counts) <= 5 * 10 ** 7)
+    return True
+
+
+@st.composite
+def _command_line(draw, tree_paths, out_paths):
+    def flag(name, values):
+        return [name, str(draw(values))] if draw(st.booleans()) else []
+
+    command = draw(st.sampled_from(
+        ["enumerate", "annotate", "pushforward", "lyndon", "normalize", "d1",
+         "certify", "tables", "check", "bogus"]))
+    paths = st.sampled_from(tree_paths)
+    argv = [command]
+    if command == "enumerate":
+        argv += flag("--n", _INT) + flag("--edges", _INT)
+        argv += draw(st.sampled_from([[], ["--orbits"], ["--good"]]))
+    elif command in ("annotate", "pushforward"):
+        argv += flag("--tree", paths)
+        if command == "pushforward":
+            argv += flag("--tlg", _ints(_INT))
+    elif command == "lyndon":
+        argv += flag("--degree", _ints(_INT)) + flag("--alphabet", _alphabet())
+    elif command == "normalize":
+        argv += flag("--expr", _expression())
+        argv += flag("--alphabet", _alphabet())
+    elif command == "d1":
+        argv += flag("--genus", _INT) + flag("--word", _TEXT)
+    elif command == "certify":
+        argv += flag("--genus", _INT)
+    elif command == "tables":
+        argv += flag("--kind", st.sampled_from(["e1", "f1", "x"]))
+        argv += flag("--n", _INT) + flag("--genus", _INT)
+    elif command == "check":
+        argv += flag("--level", st.sampled_from(["quick", "Quick", ""]))
+    argv += flag("--out", st.sampled_from(out_paths))
+    argv += draw(st.lists(_TEXT, max_size=2))
+    return argv
+
+
+def _tree_files(root) -> list[str]:
+    """Tree JSON files, valid and malformed, and paths that are no file."""
+    good = graph_to_json(build_T_lg(1, 2).tree)
+    payloads = {
+        "tree": good, "graph": graph_to_json(build_T_lg(1, 2).graph),
+        "format": {**good, "format": 2}, "list": [1, 2], "empty": {},
+        "flags": {**good, "flags": "abc"},
+        "involution": {**good, "involution": [[1, 99]]},
+        "vertices": {**good, "vertices": [[1, 2, 3]]},
+        "genus": {**good, "genus": [1, -1, "x"]},
+        "numbering": {**good, "leaf_numbering": {"1": 1}},
+    }
+    paths = [str(root), str(root / "missing.json")]
+    for name, payload in payloads.items():
+        (root / f"{name}.json").write_text(json.dumps(payload))
+        paths.append(str(root / f"{name}.json"))
+    (root / "text.json").write_text("not json")
+    return paths + [str(root / "text.json")]
+
+
+def test_random_command_lines_exit_cleanly(tmp_path):
+    # No traceback and an exit code in {0, 1, 2}, with 1 only where a
+    # certificate or check failed
+    tree_paths = _tree_files(tmp_path)
+    out_paths = [str(tmp_path / "out.txt"), str(tmp_path),
+                 str(tmp_path / "missing" / "out.txt")]
+
+    @settings(max_examples=300, deadline=None)
+    @given(argv=_command_line(tree_paths, out_paths).filter(_cheap))
+    def run(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2), argv
+        assert code != 1 or argv[0] in ("certify", "check"), argv
+        assert "Traceback" not in err.getvalue(), argv
+
+    run()
 
 
 # --------------------------------------------------------------------------

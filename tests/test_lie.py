@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from hyperstrata.errors import MixedMultidegree, NotLyndon, TooLarge
 from hyperstrata.lie import (
+    MAX_ORACLE_TOTAL,
     GradedAlphabet,
     LieVector,
     associative_expansion,
@@ -26,6 +27,7 @@ from hyperstrata.lie import (
 
 AB = GradedAlphabet(("a", "b"), {"a": 1, "b": 0})
 ODD3 = GradedAlphabet(("a", "b", "c"), {"a": 1, "b": 1, "c": 1})
+MIXED = GradedAlphabet(("a", "b", "c"), {"a": 1, "b": 0, "c": 1})
 
 
 def test_is_lyndon_basics():
@@ -181,11 +183,10 @@ def test_dimension_formula_matches_enumeration():
             for i in range(total + 1):
                 md = (i, total - i)
                 assert dimension(alpha, md) == _enumerated_dimension(alpha, md)
-    mixed = GradedAlphabet(("a", "b", "c"), {"a": 1, "b": 0, "c": 1})
     for total in range(1, 10):
         for md in itertools.product(range(total + 1), repeat=3):
             if sum(md) == total:
-                assert dimension(mixed, md) == _enumerated_dimension(mixed, md)
+                assert dimension(MIXED, md) == _enumerated_dimension(MIXED, md)
     assert dimension(AB, (0, 0)) == 0
     assert dimension(AB, (13, 8)) == 9690
     big = dimension(AB, (200, 100))
@@ -193,15 +194,57 @@ def test_dimension_formula_matches_enumeration():
 
 
 def test_oracle_matches_dimensions_small():
-    for total in range(1, 6):
+    for total in range(1, MAX_ORACLE_TOTAL + 1):
         for i in range(total + 1):
             md = (i, total - i)
             assert oracle_component(AB, md).dimension == dimension(AB, md)
+    for total in range(1, 7):
+        for md in itertools.product(range(total + 1), repeat=3):
+            if sum(md) == total:
+                assert oracle_component(MIXED, md).dimension == \
+                    dimension(MIXED, md)
     assert oracle_component(ODD3, (1, 1, 1)).dimension == 2
     four = GradedAlphabet(tuple("abcd"), {c: 1 for c in "abcd"})
     assert oracle_component(four, (1, 1, 1, 1)).dimension == 6
-    with pytest.raises(TooLarge):
-        oracle_component(AB, (5, 4))
+    for md in ((7, 6), (10 ** 9, 1), (0, 0)):
+        with pytest.raises(TooLarge):
+            oracle_component(AB, md)
+
+
+def _every_bracketing(word):
+    if len(word) == 1:
+        yield word[0]
+        return
+    for i in range(1, len(word)):
+        for left in _every_bracketing(word[:i]):
+            for right in _every_bracketing(word[i:]):
+                yield (left, right)
+
+
+@pytest.mark.parametrize("alphabet, md", [
+    *((AB, (i, total - i)) for total in range(1, 7) for i in range(total + 1)),
+    (ODD3, (1, 1, 1)),
+    (GradedAlphabet(tuple("abcd"), {c: 1 for c in "abcd"}), (1, 1, 1, 1)),
+    (GradedAlphabet(tuple("abcd"), {"a": 1, "b": 0, "c": 1, "d": 0}),
+     (1, 1, 1, 1)),
+    (MIXED, (2, 1, 2)),
+])
+def test_oracle_spans_every_full_bracketing(alphabet, md):
+    # the span built from smaller multidegrees equals the row space of every
+    # full bracketing of every word, expanded and row-reduced one by one
+    from hyperstrata.lie import (_IntEchelon, _assoc_expand,
+                                 _multiset_permutations)
+
+    brute = _IntEchelon()
+    for word in _multiset_permutations(list(md)):
+        for node in _every_bracketing(word):
+            brute.insert(_assoc_expand(alphabet.degrees, node))
+    orc = oracle_component(alphabet, md)
+    built, = (cell.cell_contents for cell in orc.contains.__closure__
+              if isinstance(cell.cell_contents, _IntEchelon))
+    assert orc.dimension == built.rank == brute.rank
+    assert not any(brute.reduce(row) for row in built.pivots.values())
+    assert not any(built.reduce(row) for row in brute.pivots.values())
 
 
 def test_oracle_membership_and_coordinates():
