@@ -18,7 +18,8 @@ from . import serialize as ser
 from .covers import pushforward, pushforward_trace
 from .errors import FailedCertificate, FormatError, HyperstrataError
 from .graphs import NumberedGraph, genus
-from .lie import _square_half, basis_vector, lyndon_words, normalize
+from .lie import (LieVector, _square_half, basis_vector, lyndon_words,
+                  normalize)
 from .spectral import (
     AB,
     certify_nonvanishing,
@@ -160,8 +161,11 @@ def _cmd_d1(args) -> int:
     # omega refuses a genus past spectral.MAX_D1_GENUS before any Lie work
     x = omega(args.genus)
     if args.word:
-        x = VSpaceElement(x.g, args.word.count("b"),
-                          basis_vector(args.word, AB))
+        # VSpaceElement checks the level and the letter counts before
+        # basis_vector runs its Lyndon test, quadratic in the word.
+        l = args.word.count("b")
+        VSpaceElement(x.g, l, LieVector(AB, {("w", AB.key(args.word)): 1}))
+        x = VSpaceElement(x.g, l, basis_vector(args.word, AB))
     image = d1(x)
     _emit(lie_vector_to_text(image.vector) + "\n", args.out)
     return 0

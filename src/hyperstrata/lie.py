@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import factorial, gcd
+from math import factorial, gcd, lcm
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .errors import (MixedMultidegree, NotLyndon, OutOfRange, TooLarge,
@@ -43,6 +43,15 @@ _Key = tuple  # ("w", word) or ("sq", word); word = tuple of letter indices
 # 4.3 s; (12, 12) would write 6.5e7.  A bound on words alone would accept
 # (1, 999999), 10^6 words of 10^6 letters.
 MAX_LETTERS = 5 * 10 ** 7
+# normalize (and serialize.parse_bracket_expr) recurse once per level of a
+# bracket expression, and the rewriting recurses along the words it builds,
+# so an expression is bounded by its letters, which bound its depth.  The
+# chains [[a,b],b]... and [a^k b, b] of 128 letters take 0.001 s and 0.6 s
+# on a shared 2-CPU machine and need about 140 and 270 of the interpreter's
+# 1,000 frames; a chain 1,200 deep ended in RecursionError.  Cost grows with
+# the words of the multidegree, not with the letters: [a,e], [e,b] nested to
+# 25 letters took 28 s.
+MAX_EXPR_LETTERS = 128
 # oracle_component row-reduces inside the span of the words of its
 # multidegree.  On the letters a, b each component of total 12 takes at most
 # 0.4 s (1.3 s for all 13, 19 MB max RSS) on a shared 2-CPU machine, and
@@ -108,6 +117,11 @@ class LieVector:
 
     All keys share one multidegree; zero coefficients are never stored.
     Keys are ("w", word) for B(word) and ("sq", word) for [B(word), B(word)].
+    Coefficients are Fractions here and in the vector arithmetic below.
+    The rewriting engine works in integers: `bracket`, `normalize` and
+    `spectral.d1` take their inputs over one common denominator
+    (`_integer_terms`) and divide each output coefficient by it once
+    (`_fraction_terms`).
     """
 
     __slots__ = ("alphabet", "terms")
@@ -117,7 +131,8 @@ class LieVector:
         clean = {}
         mdeg = None
         for key, coeff in terms.items():
-            coeff = Fraction(coeff)
+            if type(coeff) is not Fraction:
+                coeff = Fraction(coeff)
             if not coeff:
                 continue
             md = _key_multidegree(len(alphabet), key)
@@ -172,6 +187,22 @@ class LieVector:
             word = self.alphabet.text(w)
             bits.append(f"{c}*{word}" if kind == "w" else f"{c}*({word})^[2]")
         return "LieVector(" + " + ".join(bits) + ")"
+
+
+def _integer_terms(terms: Mapping) -> tuple[dict, int]:
+    """The coefficients of a Fraction-valued term dict as integer numerators
+    over their least common denominator, and that denominator."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    return ({k: c.numerator * (den // c.denominator)
+             for k, c in terms.items()}, den)
+
+
+def _fraction_terms(terms: dict, den: int) -> dict:
+    """Divide the integer coefficients of terms by den, in place, so that no
+    second dict of the result's size is built."""
+    for k, c in terms.items():
+        terms[k] = Fraction(c, den)
+    return terms
 
 
 # --------------------------------------------------------------------------
@@ -350,13 +381,11 @@ _active_squares: set = set()
 def _bracket_words(degrees: tuple[int, ...], m: tuple[int, ...],
                    n: tuple[int, ...]) -> tuple:
     """[B(m), B(n)] in the Lyndon basis, as a tuple of (key, int) pairs."""
-    dm, dn = _wdeg(degrees, m), _wdeg(degrees, n)
     if m == n:
-        if dm:
-            return ((("sq", m), 1),)
-        return ()
+        return ((("sq", m), 1),) if _wdeg(degrees, m) else ()
     if m > n:
-        sign = 1 if (dm and dn) else -1  # -(-1)^{dm dn}
+        # -(-1)^{|m||n|}
+        sign = 1 if _wdeg(degrees, m) and _wdeg(degrees, n) else -1
         return tuple((k, sign * c) for k, c in _bracket_words(degrees, n, m))
     # m < n: mn is Lyndon.  (m, n) is its standard factorization exactly
     # when m is a letter or the standard right factor of m is >= n.
@@ -366,12 +395,11 @@ def _bracket_words(degrees: tuple[int, ...], m: tuple[int, ...],
     if v >= n:
         return ((("w", m + n), 1),)
     # [[u,v],n] = [u,[v,n]] - (-1)^{|u||v|} [v,[u,n]]
-    du, dv = _wdeg(degrees, u), _wdeg(degrees, v)
     acc: dict[_Key, int] = {}
     for key, c in _bracket_words(degrees, v, n):
         for k2, c2 in _bracket_word_key(degrees, u, key):
             acc[k2] = acc.get(k2, 0) + c * c2
-    outer = -1 if (du and dv) else 1
+    outer = -1 if _wdeg(degrees, u) and _wdeg(degrees, v) else 1
     for key, c in _bracket_words(degrees, u, n):
         for k2, c2 in _bracket_word_key(degrees, v, key):
             acc[k2] = acc.get(k2, 0) - outer * c * c2
@@ -418,8 +446,8 @@ def _bracket_keys(degrees: tuple[int, ...], k1: _Key, k2: _Key) -> tuple:
 
 
 def _bracket_terms(degrees: tuple[int, ...], x: Mapping, y: Mapping) -> dict:
-    """[x, y] for combinations of basis keys given as key -> coefficient
-    (integers or Fractions); zero coefficients are dropped."""
+    """[x, y] for combinations of basis keys given as key -> integer
+    coefficient; zero coefficients are dropped."""
     acc: dict = {}
     for k1, c1 in x.items():
         for k2, c2 in y.items():
@@ -444,16 +472,16 @@ def _to_internal(expr: BracketExpr, alphabet: GradedAlphabet):
     raise ValueError(f"not a bracket expression: {expr!r}")
 
 
-def _expr_multidegree(node, nletters: int) -> tuple[int, ...]:
-    counts = [0] * nletters
-    stack = [node]
+def _leaves(expr) -> list:
+    """The leaves of a bracket expression, found without recursion."""
+    out, stack = [], [expr]
     while stack:
         x = stack.pop()
-        if isinstance(x, int):
-            counts[x] += 1
-        else:
+        if isinstance(x, tuple):
             stack.extend(x)
-    return tuple(counts)
+        else:
+            out.append(x)
+    return out
 
 
 def _normalize_node(degrees: tuple[int, ...], node) -> dict[_Key, int]:
@@ -469,25 +497,33 @@ def normalize(expr, alphabet: GradedAlphabet) -> LieVector:
 
     All terms must share one multidegree; raises MixedMultidegree otherwise.
     A single expression is a string or a pair; a combination is any other
-    iterable of (coefficient, expression) pairs.
+    iterable of (coefficient, expression) pairs.  An expression of more than
+    MAX_EXPR_LETTERS letters raises TooLarge before any recursion.
     """
     if isinstance(expr, (str, tuple)):
-        terms = [(Fraction(1), expr)]
+        terms = [(1, expr)]
     else:
-        terms = [(Fraction(c), e) for c, e in expr]
-    internal = [(c, _to_internal(e, alphabet)) for c, e in terms]
+        terms = list(expr)
+    coeffs, den = _integer_terms({i: Fraction(c)
+                                  for i, (c, _) in enumerate(terms)})
+    for _, e in terms:
+        letters = len(_leaves(e))
+        if letters > MAX_EXPR_LETTERS:
+            raise TooLarge(f"a bracket expression of {letters} letters "
+                           f"exceeds {MAX_EXPR_LETTERS}")
+    internal = [_to_internal(e, alphabet) for _, e in terms]
     mdeg = None
-    for _, node in internal:
-        md = _expr_multidegree(node, len(alphabet))
+    for node in internal:
+        md = tuple(map(_leaves(node).count, range(len(alphabet))))
         if mdeg is None:
             mdeg = md
         elif md != mdeg:
             raise MixedMultidegree(f"{md} vs {mdeg}")
-    acc: dict[_Key, Fraction] = {}
-    for coeff, node in internal:
+    acc: dict[_Key, int] = {}
+    for i, node in enumerate(internal):
         for key, c in _normalize_node(alphabet.degrees, node).items():
-            acc[key] = acc.get(key, Fraction(0)) + coeff * c
-    return LieVector(alphabet, acc)
+            acc[key] = acc.get(key, 0) + coeffs[i] * c
+    return LieVector(alphabet, _fraction_terms(acc, den))
 
 
 def basis_vector(word, alphabet: GradedAlphabet, square: bool = False
@@ -506,8 +542,9 @@ def bracket(x: LieVector, y: LieVector) -> LieVector:
     """Bilinear extension of the basis bracket."""
     if x.alphabet.letters != y.alphabet.letters:
         raise ValueError("vectors live over different alphabets")
-    return LieVector(x.alphabet,
-                     _bracket_terms(x.alphabet.degrees, x.terms, y.terms))
+    (xs, dx), (ys, dy) = _integer_terms(x.terms), _integer_terms(y.terms)
+    terms = _bracket_terms(x.alphabet.degrees, xs, ys)
+    return LieVector(x.alphabet, _fraction_terms(terms, dx * dy))
 
 
 # --------------------------------------------------------------------------
@@ -640,13 +677,7 @@ def oracle_component(alphabet: GradedAlphabet, multidegree) -> OracleComponent:
     ech = spans[counts]
 
     def contains(obj) -> bool:
-        exp = associative_expansion(obj, alphabet)
-        if not exp:
-            return True
-        scale = 1
-        for c in exp.values():
-            scale = scale * c.denominator // gcd(scale, c.denominator)
-        row = {alphabet.key(w): int(c * scale) for w, c in exp.items()}
-        return not ech.reduce(row)
+        row, _ = _integer_terms(associative_expansion(obj, alphabet))
+        return not ech.reduce({alphabet.key(w): c for w, c in row.items()})
 
     return OracleComponent(counts, ech.rank, contains)

@@ -9,9 +9,9 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .errors import FormatError
+from .errors import FormatError, TooLarge
 from .graphs import Graph, NumberedGraph
-from .lie import GradedAlphabet, LieVector
+from .lie import MAX_EXPR_LETTERS, GradedAlphabet, LieVector
 from .spectral import Certificate, SpectralTable
 from .trees import AnnotatedTree, annotate
 
@@ -135,9 +135,14 @@ def lie_vector_from_text(text: str, alphabet: GradedAlphabet) -> LieVector:
 
 
 def parse_bracket_expr(text: str):
-    """Parse ``[[a,b],[a,a]]`` into nested pairs of letters."""
+    """Parse ``[[a,b],[a,a]]`` into nested pairs of letters.  The parser
+    recurses once per bracket, so more than ``lie.MAX_EXPR_LETTERS`` - 1
+    brackets raise TooLarge before it starts."""
     pos = [0]
     s = text.strip()
+    if s.count("[") >= MAX_EXPR_LETTERS:
+        raise TooLarge(f"a bracket expression of {s.count('[') + 1} letters "
+                       f"exceeds {MAX_EXPR_LETTERS}")
 
     def parse():
         if pos[0] >= len(s):

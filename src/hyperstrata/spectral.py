@@ -43,6 +43,8 @@ from .lie import (
     GradedAlphabet,
     LieVector,
     _bracket_terms,
+    _fraction_terms,
+    _integer_terms,
     _std_split,
     dimension,
 )
@@ -121,7 +123,9 @@ def d1(x: VSpaceElement) -> VSpaceElement:
     of the all-odd model (see the module docstring), computed over the
     standard factorization w = uv as
     D B(uv) = [D B(u), B(v)] + (-1)^len(u) [B(u), D B(v)]
-    with integer coefficients, each factor derived once per call."""
+    with integer coefficients, each factor derived once per call.  The
+    input is taken over the common denominator of its coefficients, and
+    each output coefficient is divided by it once."""
     if x.l == 0:
         raise LevelZero("no even letters left to substitute")
     degrees = AB_ODD.degrees
@@ -139,13 +143,15 @@ def d1(x: VSpaceElement) -> VSpaceElement:
             memo[w] = {k: c for k, c in terms.items() if c}
         return memo[w]
 
+    coeffs, den = _integer_terms(x.vector.terms)
     acc: dict = {}
-    for (kind, word), coeff in x.vector.terms.items():
+    for (kind, word), coeff in coeffs.items():
         if kind != "w":
             raise OutOfRange("square basis keys cannot occur at odd a-degree")
         for key, c in derive(word).items():
             acc[key] = acc.get(key, 0) + coeff * c
-    return VSpaceElement(x.g, x.l - 1, LieVector(AB, acc))
+    image = LieVector(AB, _fraction_terms(acc, den))
+    return VSpaceElement(x.g, x.l - 1, image)
 
 
 @dataclass(frozen=True)

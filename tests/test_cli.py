@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 from math import factorial
+from time import perf_counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +14,7 @@ from hyperstrata import checks, cli, spectral
 from hyperstrata.checks import run_checks
 from hyperstrata.errors import FormatError, OutOfRange, TooLarge
 from hyperstrata.graphs import canonical_form
-from hyperstrata.lie import dimension, normalize
+from hyperstrata.lie import MAX_EXPR_LETTERS, dimension, normalize
 from hyperstrata.serialize import (
     annotated_from_json,
     annotated_to_json,
@@ -207,6 +208,37 @@ def test_d1_refuses_a_large_genus_before_any_lie_work(capsys, monkeypatch,
         spectral.VSpaceElement(genus, 1, normalize(("a", "b"), AB))
 
 
+@pytest.mark.parametrize("word, message", [
+    ("a" + "b" * 100000, "level 100000 outside 0..3"),
+    ("a" * 100000 + "b", "multidegree (100000, 1), expected (5, 1)"),
+], ids=["b-heavy", "a-heavy"])
+def test_d1_checks_the_word_size_before_the_lyndon_test(capsys, monkeypatch,
+                                                        word, message):
+    # The Lyndon test is quadratic in the word: 100,001 letters would take
+    # minutes, where the letter counts refuse the word at once.
+    def no_lyndon_test(*args):
+        raise AssertionError("Lyndon test before the letter counts")
+
+    monkeypatch.setattr(cli, "basis_vector", no_lyndon_test)
+    start = perf_counter()
+    code, out, err = run_cli(capsys, "d1", "--genus", "3", "--word", word)
+    assert perf_counter() - start < 1
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert message in err
+
+
+def test_normalize_refuses_a_deep_chain(capsys):
+    # [[...[a,b],b]...,b] 1,200 deep ended in RecursionError
+    chain = "[" * 1200 + "a" + ",b]" * 1200
+    code, out, err = run_cli(capsys, "normalize", "--expr", chain)
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert f"1201 letters exceeds {MAX_EXPR_LETTERS}" in err
+    depth = MAX_EXPR_LETTERS - 1
+    code, out, _ = run_cli(capsys, "normalize", "--expr",
+                           "[" * depth + "a" + ",b]" * depth)
+    assert code == 0 and out == "1·a" + "b" * depth + "\n"
+
+
 def test_tables_cli(capsys):
     code, out, _ = run_cli(capsys, "tables", "--kind", "e1", "--n", "4")
     assert code == 0
@@ -287,6 +319,7 @@ def test_e1_table_beyond_max_leaves_exits_two(capsys):
     ("lyndon", "--degree", "0,1000000000"),
     ("d1", "--genus", "100000"),
     ("pushforward", "--tlg", "1,1000000000000"),
+    ("d1", "--genus", "3", "--word", "baaab"),
 ])
 def test_bad_input_exits_two_without_traceback(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -336,8 +369,9 @@ def test_out_flag_writes_file(capsys, tmp_path):
 # cost only, never for a fault: numbered `enumerate --n` 8 and 9 (4 s and
 # 170 s), `enumerate --good --n` past 18, `tables --kind f1 --genus` 8 to 10,
 # `d1 --genus` 31 to 60 (up to 0.6 s each), `lyndon` past 10^5 letters
-# written, `check --level full` (1.6 s) and bracket expressions past eight
-# letters, which `normalize` expands without a size bound.
+# written, `check --level full` (1.6 s) and bracket expressions of 9 to
+# `MAX_EXPR_LETTERS` letters, whose cost grows with their multidegree (28 s
+# at 25 letters).  Expressions past the bound are drawn: they must exit 2.
 _INT = st.one_of(st.integers(-3, 24),
                  st.sampled_from([10 ** 6, 10 ** 12, 10 ** 18, -10 ** 18]))
 _TEXT = st.text(alphabet="abcxyz019[],:- ", max_size=10)
@@ -364,7 +398,30 @@ def _expression():
             return node
         return f"[{text(node[0])},{text(node[1])}]"
 
-    return st.one_of(tree.map(text), _TEXT)
+    return st.one_of(tree.map(text), _wrapped(), _TEXT)
+
+
+@st.composite
+def _wrapped(draw):
+    """An expression of more than MAX_EXPR_LETTERS letters: a letter wrapped
+    at least MAX_EXPR_LETTERS times, each time on a drawn side and with a
+    drawn letter, written without recursion."""
+    core = draw(st.sampled_from("abcx"))
+    wraps = draw(st.lists(st.tuples(st.booleans(), st.sampled_from("abcx")),
+                          min_size=1, max_size=8))
+    times = draw(st.integers(MAX_EXPR_LETTERS, 3000))
+    opens, closes = [], []
+    for i in range(times):
+        left, y = wraps[i % len(wraps)]
+        opens.append("[" if left else f"[{y},")
+        closes.append(f",{y}]" if left else "]")
+    return "".join(reversed(opens)) + core + "".join(closes)
+
+
+def _over_bound(argv) -> bool:
+    flags = dict(zip(argv, argv[1:]))
+    return argv[0] == "normalize" and \
+        flags.get("--expr", "").count("[") >= MAX_EXPR_LETTERS
 
 
 def _letters_written(counts) -> int:
@@ -478,6 +535,7 @@ def test_random_command_lines_exit_cleanly(tmp_path):
             except SystemExit as exc:
                 code = exc.code
         assert code in (0, 1, 2), argv
+        assert code == 2 or not _over_bound(argv), argv
         assert code != 1 or argv[0] in ("certify", "check"), argv
         assert "Traceback" not in err.getvalue(), argv
 

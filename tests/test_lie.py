@@ -8,8 +8,10 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hyperstrata import lie
 from hyperstrata.errors import MixedMultidegree, NotLyndon, TooLarge
 from hyperstrata.lie import (
+    MAX_EXPR_LETTERS,
     MAX_ORACLE_TOTAL,
     GradedAlphabet,
     LieVector,
@@ -113,6 +115,78 @@ def test_normalize_linear_combinations():
     assert normalize(combo, AB) == basis_vector("ab", AB)
     with pytest.raises(MixedMultidegree):
         normalize([(1, ("a", "b")), (1, ("a", "a"))], AB)
+
+
+# Mixed denominators and signs: a common denominator that is dropped or
+# applied twice changes every result below.
+RATIONALS = (Fraction(1, 3), Fraction(-2, 5), Fraction(7, 6))
+
+
+def _combination(terms) -> LieVector:
+    total = LieVector(AB, {})
+    for c, v in terms:
+        total = total + v.scale(c)
+    return total
+
+
+def test_normalize_takes_rational_coefficients():
+    exprs = [(("a", "a"), ("a", "b")), ("a", ("a", ("a", "b"))),
+             ((("a", "b"), "a"), "a")]
+    got = normalize(list(zip(RATIONALS, exprs)), AB)
+    assert got == _combination((c, normalize(e, AB))
+                               for c, e in zip(RATIONALS, exprs))
+    assert any(c.denominator > 1 for c in got.terms.values())
+
+
+def test_bracket_takes_rational_coefficients():
+    x_words, y_words = lyndon_words(AB, (3, 2)), lyndon_words(AB, (2, 2))
+    x = _combination(zip(RATIONALS, [basis_vector(w, AB) for w in x_words]))
+    ys = [basis_vector(w, AB) for w in y_words] + \
+        [basis_vector("ab", AB, square=True)]
+    y = _combination(zip(RATIONALS[::-1], ys))
+    assert len(x.terms) == 2 and len(y.terms) == 2
+    got = bracket(x, y)
+    assert got == _combination(
+        (cx * cy, bracket(basis_vector(w, AB), v))
+        for cx, w in zip(RATIONALS, x_words)
+        for cy, v in zip(RATIONALS[::-1], ys))
+    assert any(c.denominator > 1 for c in got.terms.values())
+    p, q = Fraction(3, 4), Fraction(-5, 9)
+    assert bracket(x.scale(p), y.scale(q)) == got.scale(p * q)
+    assert bracket(x.scale(p), basis_vector("a", AB)) == \
+        bracket(x, basis_vector("a", AB)).scale(p)
+
+
+def test_normalize_refuses_an_expression_past_the_bound():
+    def chain(letters):
+        expr = "a"
+        for _ in range(letters - 1):
+            expr = (expr, "b")
+        return expr
+
+    word = "a" + "b" * (MAX_EXPR_LETTERS - 1)
+    assert normalize(chain(MAX_EXPR_LETTERS), AB) == basis_vector(word, AB)
+    for letters in (MAX_EXPR_LETTERS + 1, 1200):
+        with pytest.raises(TooLarge, match=f"{letters} letters"):
+            normalize(chain(letters), AB)
+        with pytest.raises(TooLarge):
+            normalize([(1, chain(2)), (1, ("a", chain(letters)))], AB)
+
+
+def test_direct_products_compute_no_parity(monkeypatch):
+    # [B(m), B(n)] needs the parity of a word only for its sign
+    calls = []
+    wdeg = lie._wdeg
+    monkeypatch.setattr(lie, "_wdeg",
+                        lambda degrees, w: calls.append(w) or wdeg(degrees, w))
+    lie._bracket_words.cache_clear()
+    word = "aababb"
+    assert normalize(standard_bracketing(word, AB), AB) == \
+        basis_vector(word, AB)
+    assert calls == []
+    # m > n: b is even, so the sign needs no parity of a
+    assert normalize(("b", "a"), AB) == basis_vector("ab", AB).scale(-1)
+    assert calls == [(1,)]
 
 
 def test_normalize_idempotent_on_basis():

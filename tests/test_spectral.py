@@ -8,8 +8,8 @@ import pytest
 
 from hyperstrata.errors import LevelZero, OutOfRange
 from hyperstrata.graphs import automorphism_count
-from hyperstrata.lie import (basis_vector, lyndon_words, normalize,
-                             standard_bracketing)
+from hyperstrata.lie import (LieVector, basis_vector, lyndon_words,
+                             normalize, standard_bracketing)
 from hyperstrata.serialize import table_to_csv
 from hyperstrata.spectral import (
     AB,
@@ -91,6 +91,26 @@ def test_d1_matches_the_substitution_definition():
                 assert got.terms == expected.terms, (g, l, w)
                 words += 1
     assert words == 372
+
+
+def test_d1_takes_rational_coefficients():
+    # The term-by-term reference: sum of c_i d1(B(w_i)), built with
+    # LieVector.scale and +.  Mixed denominators and signs, so that a common
+    # denominator that is dropped or applied twice changes the image.
+    g, l = 4, 2
+    words = lyndon_words(AB, (2 * g - 2 * l + 1, l))
+    coeffs = (Fraction(1, 3), Fraction(-2, 5), Fraction(7, 6))
+    assert len(words) == len(coeffs)
+    x, expected = LieVector(AB, {}), LieVector(AB, {})
+    for c, w in zip(coeffs, words):
+        b = basis_vector(w, AB)
+        x = x + b.scale(c)
+        expected = expected + d1(VSpaceElement(g, l, b)).vector.scale(c)
+    got = d1(VSpaceElement(g, l, x)).vector
+    assert got == expected
+    assert any(c.denominator > 1 for c in got.terms.values())
+    assert d1(VSpaceElement(g, l, x.scale(Fraction(-9, 4)))).vector == \
+        expected.scale(Fraction(-9, 4))
 
 
 def test_leading_terms_follow_parity_split():
