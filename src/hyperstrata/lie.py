@@ -50,7 +50,9 @@ MAX_LETTERS = 5 * 10 ** 7
 # on a shared 2-CPU machine and need about 140 and 270 of the interpreter's
 # 1,000 frames; a chain 1,200 deep ended in RecursionError.  Cost grows with
 # the words of the multidegree, not with the letters: [a,e], [e,b] nested to
-# 25 letters took 28 s.
+# 25 letters took 28 s.  standard_bracketing and associative_expansion
+# recurse the same way along a word or an expression, so the same bound
+# holds for them and for the oracle's membership test.
 MAX_EXPR_LETTERS = 128
 # oracle_component row-reduces inside the span of the words of its
 # multidegree.  On the letters a, b each component of total 12 takes at most
@@ -210,10 +212,29 @@ def _fraction_terms(terms: dict, den: int) -> dict:
 # --------------------------------------------------------------------------
 
 def _is_lyndon_key(w: tuple[int, ...]) -> bool:
-    n = len(w)
-    if n == 0:
+    """Duval's linear test: a nonempty word is Lyndon iff it is its own
+    first factor in the Lyndon factorization.  w[:j] is a prefix of a
+    power of the Lyndon word w[:j - k]; a letter below its match ends the
+    factor early, and a word ending with k > 0 is not its own factor."""
+    if not w:
         return False
-    return all(w < w[i:] + w[:i] for i in range(1, n))
+    k = 0
+    for j in range(1, len(w)):
+        if w[k] < w[j]:
+            k = 0
+        elif w[k] == w[j]:
+            k += 1
+        else:
+            return False
+    return k == 0
+
+
+def _bound_letters(letters: int, what: str) -> None:
+    """Refuse an input of more than MAX_EXPR_LETTERS letters before
+    anything recurses on it."""
+    if letters > MAX_EXPR_LETTERS:
+        raise TooLarge(f"{what} of {letters} letters exceeds "
+                       f"{MAX_EXPR_LETTERS}")
 
 
 def is_lyndon(word, alphabet: GradedAlphabet) -> bool:
@@ -356,8 +377,10 @@ def _std_tree(w: tuple[int, ...]):
 
 def standard_bracketing(word, alphabet: GradedAlphabet) -> BracketExpr:
     """The recursive bracketing of a Lyndon word; single letters map to
-    themselves."""
+    themselves.  A word of more than MAX_EXPR_LETTERS letters raises
+    TooLarge."""
     key = alphabet.key(word)
+    _bound_letters(len(key), "a word")
     if not _is_lyndon_key(key):
         raise NotLyndon(f"{alphabet.text(key)} is not a Lyndon word")
 
@@ -507,10 +530,7 @@ def normalize(expr, alphabet: GradedAlphabet) -> LieVector:
     coeffs, den = _integer_terms({i: Fraction(c)
                                   for i, (c, _) in enumerate(terms)})
     for _, e in terms:
-        letters = len(_leaves(e))
-        if letters > MAX_EXPR_LETTERS:
-            raise TooLarge(f"a bracket expression of {letters} letters "
-                           f"exceeds {MAX_EXPR_LETTERS}")
+        _bound_letters(len(_leaves(e)), "a bracket expression")
     internal = [_to_internal(e, alphabet) for _, e in terms]
     mdeg = None
     for node in internal:
@@ -585,12 +605,17 @@ def associative_expansion(obj, alphabet: GradedAlphabet) -> dict[str, Fraction]:
     """Image in the free associative superalgebra, keyed by plain words.
 
     Accepts a bracket expression or a LieVector (whose basis keys expand
-    through their standard bracketings)."""
+    through their standard bracketings).  An expression, or a basis key's
+    bracketing, of more than MAX_EXPR_LETTERS letters raises TooLarge."""
     degrees = alphabet.degrees
     acc: dict[tuple[int, ...], Fraction] = {}
     if isinstance(obj, LieVector):
+        for kind, w in obj.terms:
+            _bound_letters(len(w) * (2 if kind == "sq" else 1),
+                           "a basis element")
         pairs = [(c, _key_to_node(k)) for k, c in obj.terms.items()]
     else:
+        _bound_letters(len(_leaves(obj)), "a bracket expression")
         pairs = [(Fraction(1), _to_internal(obj, alphabet))]
     for coeff, node in pairs:
         for w, c in _assoc_expand(degrees, node).items():
@@ -677,6 +702,8 @@ def oracle_component(alphabet: GradedAlphabet, multidegree) -> OracleComponent:
     ech = spans[counts]
 
     def contains(obj) -> bool:
+        """Membership of a bracket expression or LieVector, bounded in
+        letters as by associative_expansion."""
         row, _ = _integer_terms(associative_expansion(obj, alphabet))
         return not ech.reduce({alphabet.key(w): c for w, c in row.items()})
 

@@ -9,11 +9,19 @@ Numbered trees are generated through nested families of leaf splits: a tree
 with k edges corresponds to a laminar family of k proper subsets of the leaf
 set, and two numbered trees are isomorphic exactly when their split families
 agree.  This makes the numbered enumeration duplicate-free by construction.
-Unnumbered classes are generated separately from unlabelled tree shapes with
-leaf weights, so the two routes cross-check each other.  One tree walk per
-weight vector gives both the class key and the orbit size on the weighted
-shape, before any graph is built, so each class costs one Graph and no
-second walk.
+
+Unnumbered classes are generated separately, from unlabelled tree shapes
+with leaf weights, so the two routes cross-check each other.  Generation is
+orderly (McKay, J. Algorithms 26, 1998): a shape grows its next vertex once
+per vertex orbit, and a shape's weight vectors are walked from vertex 0 in
+lexicographic order, never entering a vector that swapping two equal
+sibling subtrees makes smaller, nor a branch that cannot complete to a
+stable (or good) tree.  The duplicates left come from automorphisms that
+move vertex 0 or that these swaps do not reach.  One tree walk per vector
+gives the key they are dropped on and the orbit size, before any graph is
+built, so each class costs one Graph.  A class keeps the first vector that
+reaches it, the least of its orbit, which no rule skips, so its
+representative is the one the full walk would give.
 """
 
 from __future__ import annotations
@@ -333,14 +341,54 @@ def orbit_representatives(trees: list[NumberedGraph]) -> list[StratumClass]:
 # Unnumbered enumeration from unlabelled tree shapes with leaf weights.
 # --------------------------------------------------------------------------
 
+def _orbit_firsts(adj) -> list[int]:
+    """The least vertex of each orbit of the shape's automorphism group.
+
+    Every automorphism fixes the centre, or swaps the two centres of equal
+    halves.  Hung from its centres with the central edge cut, the tree puts
+    two vertices in one orbit exactly when the subtrees on their paths up
+    to a centre are isomorphic level by level.
+    """
+    nv = len(adj)
+    centers = _tree_centers(adj)
+    parent, seen = [-1] * nv, [False] * nv
+    for c in centers:
+        seen[c] = True
+    order = list(centers)
+    for v in order:
+        for u in adj[v]:
+            if not seen[u]:
+                seen[u], parent[u] = True, v
+                order.append(u)
+    below: list[list[int]] = [[] for _ in range(nv)]
+    subtree, ids = [0] * nv, {}   # ids of rooted subtree shapes
+    for v in reversed(order):
+        subtree[v] = ids.setdefault(tuple(sorted(below[v])), len(ids))
+        if parent[v] >= 0:
+            below[parent[v]].append(subtree[v])
+    path, paths, firsts = [-1] * nv, {}, {}
+    for v in order:
+        up = path[parent[v]] if parent[v] >= 0 else -1
+        path[v] = paths.setdefault((subtree[v], up), len(paths))
+    for v in range(nv):
+        firsts.setdefault(path[v], v)
+    return sorted(firsts.values())
+
+
 @lru_cache(maxsize=None)
 def _tree_shapes(nv: int) -> tuple:
-    """All unlabelled trees on nv vertices, as adjacency tuples."""
+    """All unlabelled trees on nv vertices, as adjacency tuples.
+
+    Each smaller shape grows a vertex at the least vertex of each of its
+    orbits, in increasing order: any other vertex of an orbit grows the same
+    shape later, so the first adjacency kept for each shape is the one that
+    attaching at every vertex would keep.
+    """
     if nv == 1:
         return (((),),)
     out: dict[tuple, tuple] = {}
     for adj in _tree_shapes(nv - 1):
-        for attach in range(nv - 1):
+        for attach in _orbit_firsts(adj):
             grown = [list(a) for a in adj] + [[attach]]
             grown[attach].append(nv - 1)
             # With one colour on every vertex the tree encoding is a shape
@@ -372,6 +420,7 @@ def _min_weight(deg: int, only_good: bool) -> int:
     return max(0, (4 if only_good and deg >= 2 else 3) - deg)
 
 
+@lru_cache(maxsize=None)
 def _leaf_budget(nv: int, only_good: bool) -> int:
     """Fewest leaves any shape on nv vertices carries: the least sum of
     _min_weight over the degree sequences of trees (nv >= 2: nv degrees
@@ -387,44 +436,158 @@ def _leaf_budget(nv: int, only_good: bool) -> int:
     return best[top]
 
 
+def _least_weight(deg: int, only_good: bool, odd: int,
+                  p: Optional[int]) -> int:
+    """Least weight of a vertex of the given degree over `odd` odd children.
+
+    It needs _min_weight and, with only_good and more than one edge,
+    rho >= 4: its leaves, its odd child edges and its parent edge when its
+    subtree's leaf count is odd.  Off the root the weight also makes that
+    parity p; the root (p None) has no parent edge.
+    """
+    low = _min_weight(deg, only_good)
+    if only_good and deg > 1:
+        low = max(low, 4 - odd - (p or 0))
+    return low if p is None else low + ((low + odd + p) & 1)
+
+
+def _least_leaves(adj, only_good: bool) -> int:
+    """Fewest leaves of any stable (with only_good, good) weighting of the
+    shape: a dynamic programme over subtrees and the parity of their leaf
+    counts, under the walk's own checks.  Each vertex takes its least
+    weight for either parity of its subtree, and extra leaves on the root
+    break no check, so every larger total has a weighting too."""
+    order, parent = _postorder(adj)
+    # below[v]: the least weight of v's finished children's subtrees, by
+    # how many of them hold an odd leaf count.
+    below: list[dict[int, int]] = [{0: 0} for _ in order]
+    for v in order[:-1]:
+        sub = [min(c + _least_weight(len(adj[v]), only_good, odd, p)
+                   for odd, c in below[v].items()) for p in (0, 1)]
+        up: dict[int, int] = {}
+        for odd, c in below[parent[v]].items():
+            for p in (0, 1):
+                up[odd + p] = min(up.get(odd + p, inf), c + sub[p])
+        below[parent[v]] = up
+    return min(c + _least_weight(len(adj[0]), only_good, odd, None)
+               for odd, c in below[0].items())
+
+
+@lru_cache(maxsize=None)
+def _shape_leasts(nv: int, only_good: bool) -> tuple[int, ...]:
+    """_least_leaves of each shape on nv vertices, in shape order."""
+    return tuple(_least_leaves(adj, only_good) for adj in _tree_shapes(nv))
+
+
 def _weight_assignments(adj, total: int, only_good: bool
-                        ) -> Iterator[tuple[int, ...]]:
-    """Leaf-weight vectors making the shape a stable (0, total) tree.
+                        ) -> list[tuple[int, ...]]:
+    """Leaf-weight vectors making the shape a stable (0, total) tree (with
+    only_good, a good one), without those that a swap of two equal sibling
+    subtrees makes lexicographically smaller.
 
     Vectors come in lexicographic order along the postorder from vertex 0,
-    the root, which comes last and takes the remainder.  With only_good,
-    branches that cannot reach rho >= 4 at an internal vertex are cut; the
+    the root, which comes last and takes the remainder.  The walk's state
+    before position i is the number of odd finished children of each
+    vertex on the path from the root down to order[i], which is all that
+    _least_weight reads; `step` gives the fewest leaves the positions from
+    i on can take in that state, as _least_leaves does for the whole shape,
+    and bounds each position by it.  So no branch lacks a completion.  The
     caller still applies the authoritative goodness filter afterwards.
+
+    Two sibling subtrees with equal plane encodings (children in adjacency
+    order) hold aligned blocks of positions, and swapping them is an
+    automorphism; so in the least vector of an orbit the earlier block
+    does not exceed the later one, and the walk skips every vector where
+    it does.  For two sibling shape leaves this is w[earlier] <= w[later].
+    The first vector of each class is the least of its orbit, so it
+    always survives.
     """
-    nv = len(adj)
     order, parent = _postorder(adj)
-    children = [[u for u in adj[v] if u != parent[v]] for v in order]
-    min_w = [_min_weight(len(adj[v]), only_good) for v in order]
-    check = [only_good and len(adj[v]) > 1 for v in order]
-    suffix = [sum(min_w[i:]) for i in range(nv + 1)]
-    w, subtree = [0] * nv, [0] * nv
-
-    def rec(i: int, remaining: int) -> Iterator[tuple[int, ...]]:
-        v = order[i]
-        child_sum = odd_children = 0
-        for u in children[i]:
-            child_sum += subtree[u]
-            odd_children += subtree[u] & 1
-        if i == nv - 1:  # the root: its parity term is 0
-            if remaining >= min_w[i] and not (
-                    check[i] and remaining + odd_children < 4):
-                w[v] = remaining
-                yield tuple(w)
-            return
-        for wv in range(min_w[i], remaining - suffix[i + 1] + 1):
-            sub = wv + child_sum
-            if check[i] and wv + odd_children + (sub & 1) < 4:
+    nv = len(order)
+    deg = [len(adj[v]) for v in order]
+    pos, depth, size = [0] * nv, [0] * nv, [1] * nv
+    plane: list = [()] * nv
+    for i, v in enumerate(order):
+        pos[v] = i
+        kids = [u for u in adj[v] if u != parent[v]]
+        plane[v] = tuple(plane[u] for u in kids)
+        size[v] += sum(size[u] for u in kids)
+    for v in reversed(order[:-1]):
+        depth[v] = depth[parent[v]] + 1
+    # How many entries the state gains on stepping from i to i + 1.
+    grow = [depth[order[i + 1]] - depth[order[i]] + 1 for i in range(nv - 1)]
+    # rules[i]: (rule bit, the aligned vertex of the earlier block, whether
+    # position i opens its block), one per block holding position i.
+    rules: list[list] = [[] for _ in range(nv)]
+    bit = 0
+    for v in order:
+        latest: dict = {}
+        for u in sorted((u for u in adj[v] if u != parent[v]),
+                        key=pos.__getitem__):
+            twin = latest.get(plane[u])
+            latest[plane[u]] = u
+            if twin is None:
                 continue
-            w[v] = wv
-            subtree[v] = sub
-            yield from rec(i + 1, remaining - wv)
+            a, b = pos[twin] - size[u] + 1, pos[u] - size[u] + 1
+            for j in range(size[u]):
+                rules[b + j].append((bit, order[a + j], j == 0))
+            bit += 1
+    # Without only_good no check reads a parity, and the state stays 0.
+    parity = int(only_good)
+    memo: list[dict] = [{} for _ in order]
+    last = nv - 1
 
-    yield from rec(0, total)
+    def step(i: int, state: tuple) -> tuple:
+        """The fewest leaves on positions i.. in the given state, and for
+        each parity of order[i]'s subtree the least weight of order[i], the
+        state after it and the fewest leaves after it."""
+        hit = memo[i].get(state)
+        if hit is None:
+            odd = state[-1]
+            if i == last:
+                hit = _least_weight(deg[i], only_good, odd, None), ()
+            else:
+                options = []
+                for p in (0, 1):
+                    nxt = (state[:-2] + (state[-2] + p * parity,)
+                           + (0,) * grow[i])
+                    options.append((_least_weight(deg[i], only_good, odd, p),
+                                    nxt, step(i + 1, nxt)[0]))
+                hit = (min(wv + rest for wv, _, rest in options),
+                       tuple(options))
+            memo[i][state] = hit
+        return hit
+
+    w = [0] * nv
+    out: list[tuple[int, ...]] = []
+
+    def rec(i: int, remaining: int, state: tuple, tied: int) -> None:
+        v = order[i]
+        if i == last:
+            w[v] = remaining
+            out.append(tuple(w))
+            return
+        options = step(i, state)[1]
+        odd = state[-1]
+        top = remaining - min(rest for _, _, rest in options)
+        for wv in range(min(lo for lo, _, _ in options), top + 1):
+            lo, nxt, rest = options[(wv + odd) & 1]
+            if wv < lo or wv > remaining - rest:
+                continue
+            t = tied
+            for bit, mate, opens in rules[i]:
+                if opens or t >> bit & 1:
+                    if wv < w[mate]:
+                        break
+                    t = t | 1 << bit if wv == w[mate] else t & ~(1 << bit)
+            else:
+                w[v] = wv
+                rec(i + 1, remaining - wv, nxt, t)
+
+    start = (0,) * (depth[order[0]] + 1)
+    if step(0, start)[0] <= total:
+        rec(0, total, start, 0)
+    return out
 
 
 def _shape_to_tree(adj, weights) -> NumberedGraph:
@@ -442,11 +605,18 @@ def unnumbered_classes(n: int, edge_count: Optional[int] = None,
     Each class carries the size of its renumbering orbit, so sums over all
     numbered classes can be taken as orbit-weighted sums over this list.
     With only_good (n even), only classes whose internal vertices all have
-    rho >= 4 are returned.  One walk of the weighted shape per weight
-    vector gives its key, which is the built tree's canonical form, and its
-    automorphism order, hence the orbit.  Duplicates are dropped on the key
-    before any graph is built; a class keeps the first weight vector that
-    reaches it.
+    rho >= 4 are returned.
+
+    A shape is rejected whole when _least_leaves exceeds n; otherwise
+    _weight_assignments walks it, never generating a vector that swapping
+    two equal sibling subtrees makes smaller.  One walk of the weighted
+    shape per vector gives its encoding, hence the key (the built tree's
+    canonical form), and its automorphism order, hence the orbit.  Vectors
+    related by other automorphisms, such as those moving vertex 0, still
+    arrive, and are dropped on the key before any graph is built.  A class
+    keeps the first vector that reaches it: the lexicographically least of
+    its orbit, which the walk never skips, so pruning changes no
+    representative.
     """
     bound = MAX_LEAVES_GOOD if only_good else MAX_LEAVES
     if not 3 <= n <= bound:
@@ -458,9 +628,17 @@ def unnumbered_classes(n: int, edge_count: Optional[int] = None,
     ks = range(n - 2) if edge_count is None else [edge_count]
     found: dict[bytes, StratumClass] = {}
     for k in ks:
+        # Contracting a shape leaf into its neighbour keeps a stable (or
+        # good) weighting and its leaf count, so once no shape of a size
+        # carries n leaves, no larger shape does.
         if _leaf_budget(k + 1, only_good) > n:
-            continue
-        for adj in _tree_shapes(k + 1):
+            break
+        leasts = _shape_leasts(k + 1, only_good)
+        if min(leasts) > n:
+            break
+        for adj, least in zip(_tree_shapes(k + 1), leasts):
+            if least > n:
+                continue
             centers = _tree_centers(adj)
             for weights in _weight_assignments(adj, n, only_good):
                 enc, aut = _tree_search(adj, [(0, wv, ()) for wv in weights],

@@ -76,16 +76,32 @@ def test_multiset_permutations_in_lex_order():
                 sorted(set(itertools.permutations(word)))
 
 
-def test_duval_agrees_with_rotation_filter():
-    from hyperstrata.lie import _is_lyndon_key
+def _rotation_lyndon(w: tuple[int, ...]) -> bool:
+    """The definition: strictly smaller than every proper rotation."""
+    return bool(w) and all(w < w[i:] + w[:i] for i in range(1, len(w)))
 
+
+def test_duval_agrees_with_rotation_filter():
     for n_letters in (2, 3):
         got = sorted(duval_words(n_letters, 8))
         brute = sorted(
             w for length in range(1, 9)
             for w in itertools.product(range(n_letters), repeat=length)
-            if _is_lyndon_key(w))
+            if _rotation_lyndon(w))
         assert got == brute
+
+
+def test_lyndon_test_matches_the_rotation_definition():
+    # Every word of up to 12 letters over two and three letters.
+    from hyperstrata.lie import _is_lyndon_key
+
+    assert not _is_lyndon_key(())
+    for n_letters in (2, 3):
+        for length in range(1, 13):
+            words = itertools.product(range(n_letters), repeat=length)
+            again = itertools.product(range(n_letters), repeat=length)
+            assert list(filter(_is_lyndon_key, words)) == \
+                list(filter(_rotation_lyndon, again)), (n_letters, length)
 
 
 def test_standard_bracketing():
@@ -157,13 +173,16 @@ def test_bracket_takes_rational_coefficients():
         bracket(x, basis_vector("a", AB)).scale(p)
 
 
-def test_normalize_refuses_an_expression_past_the_bound():
-    def chain(letters):
-        expr = "a"
-        for _ in range(letters - 1):
-            expr = (expr, "b")
-        return expr
+def chain(letters):
+    """[[[a, b], b], ... b] with the given number of letters, the standard
+    bracketing of a b^(letters - 1), built without recursion."""
+    expr = "a"
+    for _ in range(letters - 1):
+        expr = (expr, "b")
+    return expr
 
+
+def test_normalize_refuses_an_expression_past_the_bound():
     word = "a" + "b" * (MAX_EXPR_LETTERS - 1)
     assert normalize(chain(MAX_EXPR_LETTERS), AB) == basis_vector(word, AB)
     for letters in (MAX_EXPR_LETTERS + 1, 1200):
@@ -171,6 +190,36 @@ def test_normalize_refuses_an_expression_past_the_bound():
             normalize(chain(letters), AB)
         with pytest.raises(TooLarge):
             normalize([(1, chain(2)), (1, ("a", chain(letters)))], AB)
+
+
+def test_bracketing_and_expansion_refuse_a_long_word_before_recursing():
+    # A chain 1,200 deep ended in RecursionError in each of these.
+    long_word = "a" + "b" * 1200
+    word = "a" + "b" * (MAX_EXPR_LETTERS - 1)
+    component = oracle_component(AB, (1, 3))
+    with pytest.raises(TooLarge, match="1201 letters"):
+        standard_bracketing(long_word, AB)
+    for obj in (chain(1201), basis_vector(long_word, AB)):
+        with pytest.raises(TooLarge, match="1201 letters"):
+            associative_expansion(obj, AB)
+        with pytest.raises(TooLarge, match="1201 letters"):
+            component.contains(obj)
+
+    assert standard_bracketing(word, AB) == chain(MAX_EXPR_LETTERS)
+    # ad_b^127(a), b even: sum over i of (-1)^i C(127, i) b^i a b^(127-i)
+    expansion = associative_expansion(chain(MAX_EXPR_LETTERS), AB)
+    assert expansion == associative_expansion(basis_vector(word, AB), AB)
+    assert len(expansion) == MAX_EXPR_LETTERS
+    assert expansion["b" + "a" + "b" * 126] == -127
+    assert component.contains(chain(4))
+    assert not component.contains(chain(MAX_EXPR_LETTERS))
+    assert not component.contains(basis_vector(word, AB))
+
+    # A square counts its letters twice.
+    half = "a" + "b" * (MAX_EXPR_LETTERS // 2 - 1)
+    assert associative_expansion(basis_vector(half, AB, square=True), AB)
+    with pytest.raises(TooLarge, match="130 letters"):
+        associative_expansion(basis_vector(half + "b", AB, square=True), AB)
 
 
 def test_direct_products_compute_no_parity(monkeypatch):

@@ -4,6 +4,7 @@ import gc
 import hashlib
 import itertools
 import json
+import sys
 from collections import Counter
 from math import factorial
 
@@ -13,6 +14,8 @@ from hyperstrata.errors import NotATree, OddLeafTotal, OutOfRange
 from hyperstrata.graphs import (
     Graph,
     NumberedGraph,
+    _form_bytes,
+    _tree_search,
     automorphism_count,
     betti1,
     canonical_form,
@@ -22,9 +25,11 @@ from hyperstrata.graphs import (
 )
 from hyperstrata.serialize import graph_to_json
 from hyperstrata.trees import (
+    StratumClass,
     _family_to_tree,
     _laminar_families,
     _leaf_budget,
+    _least_leaves,
     _min_weight,
     _postorder,
     _shape_to_tree,
@@ -37,7 +42,81 @@ from hyperstrata.trees import (
     is_good,
     orbit_representatives,
     stratum_dimension,
+    unnumbered_classes,
 )
+
+
+# --------------------------------------------------------------------------
+# Reference class route: every shape grown at every vertex, every stable
+# (or good) weight vector walked, duplicates dropped on the key bytes.  The
+# pruned route in trees must give the same classes and representatives.
+# --------------------------------------------------------------------------
+
+def reference_tree_shapes(nv: int) -> tuple:
+    if nv == 1:
+        return (((),),)
+    out: dict[tuple, tuple] = {}
+    for adj in reference_tree_shapes(nv - 1):
+        for attach in range(nv - 1):
+            grown = [list(a) for a in adj] + [[attach]]
+            grown[attach].append(nv - 1)
+            key = _tree_search(grown, [(0, 0, ())] * nv)[0]
+            if key not in out:
+                out[key] = tuple(tuple(sorted(a)) for a in grown)
+    return tuple(out[k] for k in sorted(out))
+
+
+def reference_weight_assignments(adj, total: int, only_good: bool):
+    """Every stable (and, with only_good, good) leaf-weight vector, in
+    lexicographic order along the postorder from vertex 0."""
+    nv = len(adj)
+    order, parent = _postorder(adj)
+    children = [[u for u in adj[v] if u != parent[v]] for v in order]
+    min_w = [_min_weight(len(adj[v]), only_good) for v in order]
+    check = [only_good and len(adj[v]) > 1 for v in order]
+    suffix = [sum(min_w[i:]) for i in range(nv + 1)]
+    w, subtree = [0] * nv, [0] * nv
+
+    def rec(i: int, remaining: int):
+        v = order[i]
+        child_sum = odd_children = 0
+        for u in children[i]:
+            child_sum += subtree[u]
+            odd_children += subtree[u] & 1
+        if i == nv - 1:  # the root: its parity term is 0
+            if remaining >= min_w[i] and not (
+                    check[i] and remaining + odd_children < 4):
+                w[v] = remaining
+                yield tuple(w)
+            return
+        for wv in range(min_w[i], remaining - suffix[i + 1] + 1):
+            sub = wv + child_sum
+            if check[i] and wv + odd_children + (sub & 1) < 4:
+                continue
+            w[v] = wv
+            subtree[v] = sub
+            yield from rec(i + 1, remaining - wv)
+
+    yield from rec(0, total)
+
+
+def reference_classes(n: int, edge_count=None, only_good=False):
+    ks = range(n - 2) if edge_count is None else [edge_count]
+    found: dict[bytes, StratumClass] = {}
+    for k in ks:
+        if _leaf_budget(k + 1, only_good) > n:
+            continue
+        for adj in reference_tree_shapes(k + 1):
+            for weights in reference_weight_assignments(adj, n, only_good):
+                enc, aut = _tree_search(adj, [(0, wv, ()) for wv in weights])
+                key = _form_bytes(False, [("t", enc)])
+                if key in found:
+                    continue
+                tree = _shape_to_tree(adj, weights)
+                if only_good and not is_good(annotate(tree)):
+                    continue
+                found[key] = StratumClass(tree, k, factorial(n) // aut, key)
+    return sorted(found.values(), key=lambda c: (c.edge_count, c.canonical_key))
 
 
 # --------------------------------------------------------------------------
@@ -334,7 +413,7 @@ def test_leaf_budget_is_the_least_shape_weight():
                     for adj in _tree_shapes(nv)]
             assert _leaf_budget(nv, only_good) == min(sums), (nv, only_good)
     # 16 leaves fit on no 12-vertex shape: the good budget there is 18.
-    assert not any(next(_weight_assignments(adj, 16, True), None)
+    assert not any(next(reference_weight_assignments(adj, 16, True), None)
                    for adj in _tree_shapes(12))
 
 
@@ -387,11 +466,14 @@ def test_tree_centres_are_found_once_per_shape(monkeypatch):
 
     runs = [(n, None, False) for n in range(4, 13)]
     runs += [(2 * g + 2, None, True) for g in range(2, 8)] + [(22, 9, True)]
+    # Shapes that carry no weighting are rejected before their centres.
     shapes = 0
     for n, edge_count, good in runs:
         ks = range(n - 2) if edge_count is None else [edge_count]
-        shapes += sum(len(_tree_shapes(k + 1)) for k in ks
-                      if _leaf_budget(k + 1, good) <= n)
+        shapes += sum(next(reference_weight_assignments(adj, n, good), None)
+                      is not None
+                      for k in ks if _leaf_budget(k + 1, good) <= n
+                      for adj in _tree_shapes(k + 1))
     calls = []
     centers = graphs._tree_centers
 
@@ -406,11 +488,25 @@ def test_tree_centres_are_found_once_per_shape(monkeypatch):
     assert len(calls) == shapes
 
 
+def _assert_walk_keeps_first_of_orbit(adj, n, only_good, every):
+    # The pruned walk yields a subsequence of every feasible vector, and it
+    # holds the first vector of each class on the shape.
+    kept = _weight_assignments(adj, n, only_good)
+    rest = iter(every)
+    assert all(w in rest for w in kept)
+    firsts: dict[tuple, tuple] = {}
+    for w in every:
+        firsts.setdefault(_tree_search(adj, [(0, wv, ()) for wv in w])[0], w)
+    assert set(firsts.values()) <= set(kept)
+
+
 def test_weight_assignments_match_brute_force():
     # Oracle: every vector of per-vertex weights, stable at each vertex and
     # with the right total, in lexicographic order along the postorder
     # (the root last), and good when asked for (good needs n even).  A
-    # vertex takes at most what the other vertices' minimums leave.
+    # vertex takes at most what the other vertices' minimums leave.  The
+    # reference walk must give exactly these vectors, and the pruned walk
+    # the first of each class among them.
     for nv in range(1, 8):
         for adj in _tree_shapes(nv):
             order, _ = _postorder(adj)
@@ -424,12 +520,96 @@ def test_weight_assignments_match_brute_force():
                         for v, wv in zip(order, ws):
                             w[v] = wv
                         stable.append(tuple(w))
-                assert list(_weight_assignments(adj, n, False)) == stable
+                assert list(reference_weight_assignments(adj, n, False)) \
+                    == stable
+                _assert_walk_keeps_first_of_orbit(adj, n, False, stable)
                 if n % 2:
                     continue
                 good = [w for w in stable
                         if is_good(annotate(_shape_to_tree(adj, w)))]
-                assert list(_weight_assignments(adj, n, True)) == good
+                assert list(reference_weight_assignments(adj, n, True)) == good
+                _assert_walk_keeps_first_of_orbit(adj, n, True, good)
+
+
+def test_shapes_match_the_reference_growth():
+    # Growing once per vertex orbit keeps the same first adjacency per shape.
+    for nv in range(1, 12):
+        assert _tree_shapes(nv) == reference_tree_shapes(nv)
+
+
+def test_pruned_class_route_matches_the_reference(orbits):
+    jobs = [(n, None, False) for n in range(3, 13)]
+    jobs += [(2 * g + 2, None, True) for g in range(1, 9)]
+    jobs += [(22, 9, True), (22, 10, True)]
+    for job in jobs:
+        assert [(c.canonical_key, c.orbit_size, c.edge_count,
+                 graph_to_json(c.representative)) for c in orbits(*job)] == \
+            [(c.canonical_key, c.orbit_size, c.edge_count,
+              graph_to_json(c.representative))
+             for c in reference_classes(*job)], job
+
+
+def test_least_leaves_decides_whether_a_shape_has_a_weighting():
+    # The dynamic programme is exact: a shape carries a stable (or good)
+    # weighting with n leaves exactly when n reaches its least.  Below it
+    # the walk, which bounds its positions the same way, yields nothing.
+    # The sizes that carry n leaves run from one vertex up to a largest,
+    # which unnumbered_classes relies on to stop.
+    for only_good in (False, True):
+        for n in range(4, 23, 2):
+            sizes = [nv for nv in range(1, 12)
+                     if min(_least_leaves(adj, only_good)
+                            for adj in _tree_shapes(nv)) <= n]
+            assert sizes == list(range(1, len(sizes) + 1)), (n, only_good)
+        for nv in range(1, 11):
+            for adj in _tree_shapes(nv):
+                least = _least_leaves(adj, only_good)
+                for n in range(4, 23, 2):
+                    found = next(reference_weight_assignments(adj, n,
+                                                              only_good), None)
+                    assert (least <= n) == (found is not None), \
+                        (adj, n, only_good)
+                    if found is None:
+                        assert _weight_assignments(adj, n, only_good) == []
+
+
+def _walk_counts(monkeypatch, *job) -> Counter:
+    """Shapes walked, vectors kept and walk steps (calls of the walk's
+    recursion) of one class call."""
+    from hyperstrata import trees
+
+    rec = next(c for c in _weight_assignments.__code__.co_consts
+               if getattr(c, "co_name", None) == "rec")
+    counts: Counter = Counter()
+
+    def counted(adj, total, only_good):
+        out = _weight_assignments(adj, total, only_good)
+        counts["shapes"] += 1
+        counts["vectors"] += len(out)
+        return out
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is rec:
+            counts["steps"] += 1
+
+    with monkeypatch.context() as m:
+        m.setattr(trees, "_weight_assignments", counted)
+        sys.setprofile(profile)
+        try:
+            unnumbered_classes(*job)
+        finally:
+            sys.setprofile(None)
+    return counts
+
+
+def test_class_walk_counts_are_pinned(monkeypatch):
+    # Walking every feasible vector, good_classes(10, edge_count=9) took
+    # 136,039 steps over 5,231 vectors for its 1,656 classes, and
+    # good_classes(10, edge_count=10) 68,460 steps over 235 shapes for no
+    # class at all.
+    assert _walk_counts(monkeypatch, 22, 9, True) == \
+        {"shapes": 106, "vectors": 1717, "steps": 8297}
+    assert _walk_counts(monkeypatch, 22, 10, True) == {}
 
 
 def test_betti1_zero_for_all_enumerated(numbered):
