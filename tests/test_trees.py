@@ -28,7 +28,6 @@ from hyperstrata.trees import (
     StratumClass,
     _family_to_tree,
     _laminar_families,
-    _leaf_budget,
     _least_leaves,
     _min_weight,
     _postorder,
@@ -47,24 +46,10 @@ from hyperstrata.trees import (
 
 
 # --------------------------------------------------------------------------
-# Reference class route: every shape grown at every vertex, every stable
-# (or good) weight vector walked, duplicates dropped on the key bytes.  The
-# pruned route in trees must give the same classes and representatives.
+# Reference class route: every shape, every stable (or good) weight vector
+# walked, duplicates dropped on the key bytes.  The pruned route in trees
+# must give the same classes and representatives.
 # --------------------------------------------------------------------------
-
-def reference_tree_shapes(nv: int) -> tuple:
-    if nv == 1:
-        return (((),),)
-    out: dict[tuple, tuple] = {}
-    for adj in reference_tree_shapes(nv - 1):
-        for attach in range(nv - 1):
-            grown = [list(a) for a in adj] + [[attach]]
-            grown[attach].append(nv - 1)
-            key = _tree_search(grown, [(0, 0, ())] * nv)[0]
-            if key not in out:
-                out[key] = tuple(tuple(sorted(a)) for a in grown)
-    return tuple(out[k] for k in sorted(out))
-
 
 def reference_weight_assignments(adj, total: int, only_good: bool):
     """Every stable (and, with only_good, good) leaf-weight vector, in
@@ -101,13 +86,15 @@ def reference_weight_assignments(adj, total: int, only_good: bool):
 
 
 def reference_classes(n: int, edge_count=None, only_good=False):
+    # Without an edge count, stop at the first size where no shape has a
+    # vector: no larger shape has one either.
     ks = range(n - 2) if edge_count is None else [edge_count]
     found: dict[bytes, StratumClass] = {}
     for k in ks:
-        if _leaf_budget(k + 1, only_good) > n:
-            continue
-        for adj in reference_tree_shapes(k + 1):
+        walked = False
+        for adj in _tree_shapes(k + 1):
             for weights in reference_weight_assignments(adj, n, only_good):
+                walked = True
                 enc, aut = _tree_search(adj, [(0, wv, ()) for wv in weights])
                 key = _form_bytes(False, [("t", enc)])
                 if key in found:
@@ -116,6 +103,8 @@ def reference_classes(n: int, edge_count=None, only_good=False):
                 if only_good and not is_good(annotate(tree)):
                     continue
                 found[key] = StratumClass(tree, k, factorial(n) // aut, key)
+        if not walked:
+            break
     return sorted(found.values(), key=lambda c: (c.edge_count, c.canonical_key))
 
 
@@ -406,15 +395,22 @@ def test_good_classes_search_empty_at_g_edges():
         assert good_classes(g, edge_count=g - 1)
 
 
-def test_leaf_budget_is_the_least_shape_weight():
-    for only_good in (False, True):
-        for nv in range(1, 12):
-            sums = [sum(_min_weight(len(a), only_good) for a in adj)
-                    for adj in _tree_shapes(nv)]
-            assert _leaf_budget(nv, only_good) == min(sums), (nv, only_good)
-    # 16 leaves fit on no 12-vertex shape: the good budget there is 18.
-    assert not any(next(reference_weight_assignments(adj, 16, True), None)
-                   for adj in _tree_shapes(12))
+def test_explicit_edge_counts_stop_at_the_first_empty_shape_size(monkeypatch):
+    # No good (0, 22) tree has more than 9 edges, and no 11-vertex shape
+    # carries 22 leaves; so a larger edge count must stop there, before
+    # building the shapes of its own size.
+    from hyperstrata import trees
+
+    sizes = []
+    for name in ("_tree_shapes", "_shape_leasts"):
+        def spy(nv, *rest, real=getattr(trees, name)):
+            sizes.append(nv)
+            return real(nv, *rest)
+
+        monkeypatch.setattr(trees, name, spy)
+    for e in range(10, 20):
+        assert good_classes(10, edge_count=e) == []
+    assert max(sizes) <= 11
 
 
 def test_good_classes_edge_histogram_at_genus_7():
@@ -470,10 +466,12 @@ def test_tree_centres_are_found_once_per_shape(monkeypatch):
     shapes = 0
     for n, edge_count, good in runs:
         ks = range(n - 2) if edge_count is None else [edge_count]
-        shapes += sum(next(reference_weight_assignments(adj, n, good), None)
-                      is not None
-                      for k in ks if _leaf_budget(k + 1, good) <= n
-                      for adj in _tree_shapes(k + 1))
+        for k in ks:
+            walked = sum(next(reference_weight_assignments(adj, n, good), None)
+                         is not None for adj in _tree_shapes(k + 1))
+            if not walked:
+                break
+            shapes += walked
     calls = []
     centers = graphs._tree_centers
 
@@ -529,12 +527,6 @@ def test_weight_assignments_match_brute_force():
                         if is_good(annotate(_shape_to_tree(adj, w)))]
                 assert list(reference_weight_assignments(adj, n, True)) == good
                 _assert_walk_keeps_first_of_orbit(adj, n, True, good)
-
-
-def test_shapes_match_the_reference_growth():
-    # Growing once per vertex orbit keeps the same first adjacency per shape.
-    for nv in range(1, 12):
-        assert _tree_shapes(nv) == reference_tree_shapes(nv)
 
 
 def test_pruned_class_route_matches_the_reference(orbits):
