@@ -5,11 +5,11 @@ whose branched double cover is a genus-g curve.  The cover's dual graph is
 built vertex by vertex (one vertex of genus (rho-2)/2 over each tree vertex,
 or two rational vertices where rho = 0), with one edge over each odd edge
 and two over each even edge, and then stabilized.  Leaves of the tree are
-branch points and contribute no flags.  The pushforward stabilizes the
-lifted cover in one splice pass over its raw data, with the postconditions
-of ``stabilize``, so the image is the only Graph it builds.  It keeps no
-trace of its steps; the CLI rebuilds one from the annotated tree and the
-image with ``pushforward_trace``.
+branch points and contribute no flags.  In a stable tree only the cover
+vertices over cherries (two leaves, one edge) are unstable, so the
+pushforward lifts with them spliced out, and the image is the only Graph
+it builds.  It keeps no trace of its steps; the CLI rebuilds one from the
+annotated tree and the image with ``pushforward_trace``.
 """
 
 from __future__ import annotations
@@ -35,64 +35,69 @@ def admissible_cover_graph(t: AnnotatedTree) -> Graph:
     ramified and lift to a single edge; even edges lift to a pair of edges,
     routed to keep the cover connected.
     """
-    parts, sigma, labels = _lift(t)
+    parts, sigma, labels = _lift(t, False)
     return Graph(sigma.keys(), sigma, parts, labels)
 
 
-def _lift(t: AnnotatedTree
-          ) -> tuple[list[set[int]], dict[int, int], list[int]]:
+def _lift(t: AnnotatedTree, cherries: bool
+          ) -> tuple[list[list[int]], dict[int, int], list[int]]:
     """The cover's vertex parts, involution and genus labels, unvalidated;
-    every flag is half of an edge."""
+    every flag is half of an edge.  With ``cherries``, a cherry (two leaves,
+    one even edge) comes spliced out: the two lifts of its edge become one
+    edge between the far cover vertices, with the flag ids and vertex order
+    the splice would leave.  Two cherries meet only in a four-leaf tree,
+    which has no stable image, so ``pushforward`` lifts that whole."""
     g = t.graph
     if len(g.leaves) % 2:
         raise OddLeafTotal("the double cover needs an even number of leaves")
-
-    parts: list[set[int]] = []
+    parts: list[list[int]] = []
     labels: list[int] = []
-    covers: list[tuple[int, ...]] = []
-    for rho in t.rho:
-        if rho == 0:
-            covers.append((len(parts), len(parts) + 1))
-            parts.extend((set(), set()))
-            labels.extend((0, 0))
-        else:
+    covers: list[tuple[int, ...]] = []  # the cover vertices over each vertex
+    for rho, nu, part in zip(t.rho, t.nu, g.vertices):
+        if cherries and nu == 1 and len(part) == 3:
+            covers.append(())
+        elif rho:
             covers.append((len(parts),))
-            parts.append(set())
+            parts.append([])
             labels.append((rho - 2) // 2)
-
+        else:
+            covers.append((len(parts), len(parts) + 1))
+            parts += [], []
+            labels += 0, 0
     sigma: dict[int, int] = {}
-
-    def new_edge(u_part: int, v_part: int) -> None:
-        f1, f2 = len(sigma) + 1, len(sigma) + 2
-        sigma[f1], sigma[f2] = f2, f1
-        parts[u_part].add(f1)
-        parts[v_part].add(f2)
-
     # Edges in order of their lower flag; this order numbers the cover's flags.
-    owner = _owner(g)
+    f, owner = 1, _owner(g.vertices)
     for f1 in sorted(g.sigma):
         f2 = g.sigma[f1]
         if f2 <= f1:
             continue
         cu, cv = covers[owner[f1]], covers[owner[f2]]
-        new_edge(cu[0], cv[0])
-        if t.parity[f1] != 1:
-            # An even edge lifts twice: the lifts leave the first and the
-            # last vertex above each end, the same vertex when only one
-            # lies above it.
-            new_edge(cu[-1], cv[-1])
-
+        if not (cu and cv):
+            # A cherry's two lifts, spliced: their far flags join.
+            a, far = (f, cu) if cu else (f + 1, cv)
+            sigma[a], sigma[a + 2] = a + 2, a
+            parts[far[0]].append(a)
+            parts[far[-1]].append(a + 2)
+            f += 4
+            continue
+        # An even edge lifts twice: the lifts leave the first and the last
+        # vertex above each end, the same vertex when only one lies above it.
+        for x, y in ((cu[0], cv[0]), (cu[-1], cv[-1]))[:2 - t.parity[f1]]:
+            sigma[f], sigma[f + 1] = f + 1, f
+            parts[x].append(f)
+            parts[y].append(f + 1)
+            f += 2
     return parts, sigma, labels
 
 
 def pushforward(t: AnnotatedTree) -> Graph:
     """Stabilized cover graph: the genus-g dual graph of the image curve.
 
-    Equal to ``stabilize(admissible_cover_graph(t))``: one splice pass over
-    the lifted data builds the image, with the postconditions of
-    ``stabilize`` (stable, connected, genus g = n/2 - 1, no leaves).  It
-    keeps no trace; the CLI builds one with ``pushforward_trace``."""
-    parts, sigma, labels = _lift(t)
+    Equal to ``stabilize(admissible_cover_graph(t))``: the splice loop of
+    ``stabilize`` runs on the lift with its cherries spliced out, and checks
+    the image (stable, connected, genus g = n/2 - 1, no leaves).  It keeps
+    no trace; the CLI builds one with ``pushforward_trace``."""
+    parts, sigma, labels = _lift(t, len(t.graph.leaves) > 4)
     return _splice(sigma, parts, labels, len(t.graph.leaves) // 2 - 1, ())
 
 

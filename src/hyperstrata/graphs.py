@@ -98,7 +98,7 @@ class Graph:
     def vertex_of(self, flag: Flag) -> int:
         """The index of the vertex holding flag.  This builds the whole
         flag-to-vertex map on every call, so a loop should build it once."""
-        return _owner(self)[flag]
+        return _owner(self.vertices)[flag]
 
     def __repr__(self) -> str:
         return (f"Graph(flags={len(self.sigma)}, vertices={len(self.vertices)}, "
@@ -137,9 +137,10 @@ def _as_graph(g: GraphLike) -> Graph:
     return g.graph if isinstance(g, NumberedGraph) else g
 
 
-def _owner(g: Graph) -> dict[Flag, int]:
-    """The flag-to-vertex map: each flag's vertex index."""
-    return {f: i for i, part in enumerate(g.vertices) for f in part}
+def _owner(parts: Iterable[Iterable[Flag]]) -> dict[Flag, int]:
+    """The flag-to-vertex map of a graph's vertex parts: each flag's
+    vertex index."""
+    return {f: i for i, part in enumerate(parts) for f in part}
 
 
 def _vertex_adjacency(g: Graph, owner: Mapping[Flag, int] | None = None
@@ -147,7 +148,7 @@ def _vertex_adjacency(g: Graph, owner: Mapping[Flag, int] | None = None
     """Vertex adjacency lists from one walk over the flags: an edge is
     listed at both ends (a loop twice at its vertex), a parallel edge once
     per copy.  Builds the flag-to-vertex map unless given it."""
-    owner = _owner(g) if owner is None else owner
+    owner = _owner(g.vertices) if owner is None else owner
     adj: list[list[int]] = [[] for _ in g.vertices]
     for f, p in g.sigma.items():
         if p != f:
@@ -219,42 +220,41 @@ def stabilize(g: GraphLike) -> GraphLike:
     # genus(graph), without searching connectivity a second time
     total = (sum(graph.genus_labels) + graph.edge_count
              - len(graph.vertices) + 1)
-    result = _splice(dict(graph.sigma), [set(p) for p in graph.vertices],
+    result = _splice(dict(graph.sigma), [list(p) for p in graph.vertices],
                      list(graph.genus_labels), total, graph.leaves)
     if numbered:
         return NumberedGraph(result, g.numbering)
     return result
 
 
-def _splice(sigma: dict[Flag, Flag], parts: list[set[Flag]],
+def _splice(sigma: dict[Flag, Flag], parts: list[list[Flag] | None],
             labels: list[int], total: int, leaves: Iterable[Flag]) -> Graph:
-    """The splice loop of ``stabilize`` over the raw involution, parts and
-    labels (consumed) of a connected graph of genus ``total``.  Returns one
-    validated Graph, checked to be stable and to keep the genus (which also
-    checks connectivity) and the leaves."""
+    """The splice loop of ``stabilize``, lowest unstable vertex first, over
+    the raw involution, parts and labels (consumed) of a connected graph of
+    genus ``total``.  Returns one validated Graph, checked to be stable and
+    to keep the genus (which also checks connectivity) and the leaves."""
     leaves = set(leaves)
     if 2 * total - 2 + len(leaves) <= 0:
         raise Unstabilizable(f"type {(total, len(leaves))} has no stable model")
-    alive = [True] * len(parts)
-    owner = {f: i for i, p in enumerate(parts) for f in p}
-
-    def unstable_index() -> int | None:
-        for i, p in enumerate(parts):
-            if alive[i] and labels[i] == 0 and 1 <= len(p) <= 2:
-                return i
-        return None
-
-    while (i := unstable_index()) is not None:
+    owner: dict[Flag, int] | None = None
+    i = 0
+    while i < len(parts):
         part = parts[i]
+        if part is None or labels[i] or not 0 < len(part) < 3:
+            i += 1
+            continue
+        if owner is None:
+            owner = _owner(parts)
+        parts[i] = None
         if len(part) == 1:
             (f,) = part
             p = sigma[f]
             if p == f:
                 raise Unstabilizable("graph reduces to a marked point")
             del sigma[f], sigma[p]
-            parts[owner[p]].discard(p)
-            alive[i] = False
-            part.clear()
+            parts[owner[p]].remove(p)
+            # The vertex that lost a flag may be the lowest unstable one now.
+            i = min(i + 1, owner[p])
             continue
         f1, f2 = sorted(part)
         if sigma[f1] == f2:
@@ -267,23 +267,18 @@ def _splice(sigma: dict[Flag, Flag], parts: list[set[Flag]],
             q = sigma[f_edge]
             far = owner[q]
             del sigma[f_edge], sigma[q]
-            parts[far].discard(q)
-            parts[far].add(f_leaf)
+            parts[far].remove(q)
+            parts[far].append(f_leaf)
             owner[f_leaf] = far
         else:
             a1, a2 = sigma[f1], sigma[f2]
             del sigma[f1], sigma[f2]
-            sigma[a1] = a2
-            sigma[a2] = a1
-        alive[i] = False
-        part.clear()
+            sigma[a1], sigma[a2] = a2, a1
+        i += 1
 
-    new_parts, new_labels = [], []
-    for i, p in enumerate(parts):
-        if alive[i] or p:
-            new_parts.append(p)
-            new_labels.append(labels[i])
-    result = Graph(sigma.keys(), sigma, new_parts, new_labels)
+    kept = [i for i, p in enumerate(parts) if p is not None]
+    result = Graph(sigma.keys(), sigma, [parts[i] for i in kept],
+                   [labels[i] for i in kept])
     if not is_stable(result):
         raise Unstabilizable("residual positive-genus vertex with too few flags")
     if genus(result) != total or set(result.leaves) != leaves:
@@ -314,7 +309,7 @@ def contract_edges(g: GraphLike, edges_to_contract) -> GraphLike:
             x = parent[x]
         return x
 
-    owner = _owner(graph)
+    owner = _owner(graph.vertices)
     for e in chosen:
         f1, f2 = sorted(e)
         a, b = find(owner[f1]), find(owner[f2])

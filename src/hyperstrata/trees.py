@@ -56,18 +56,18 @@ from .graphs import (
     graph_type,
 )
 
-# enumerate_trees grows like n!: n = 8 takes 3.1-3.9 s and 91 MB max RSS,
-# n = 9 takes 79 s and 1.38 GB (660,032 trees), and `enumerate --n 9` 170 s
+# enumerate_trees grows like n!: n = 8 takes 2.2-3.6 s and 89 MB max RSS,
+# n = 9 takes 53 s and 1.35 GB (660,032 trees), and `enumerate --n 9` 170 s
 # and 1.38 GB, both in a 4 GB address space; n = 10 would build 12,818,912.
 MAX_LEAVES_NUMBERED = 9
 MAX_LEAVES = 12
 # The goodness-pruned search stays small far beyond the full enumeration
 # bound; 22 leaves covers certificates and F1 tables up to genus 10.
 MAX_LEAVES_GOOD = 22
-# A star tree has 2g + 2 leaves, and `pushforward --tlg g,g` takes 0.7 s at
-# g = 4000 and 2.7 s at g = 8000; g = 10^5 ran past a minute and g = 10^12
-# ran out of memory.
-MAX_GENUS_STAR = 4000
+# A star tree has 2g + 2 leaves, and `pushforward --tlg g,g` is linear in g:
+# 0.21 s at g = 4000, and 2.8 s, 279 MB max RSS and 20 MB of JSON at
+# g = 10^5 (one process each); g = 10^12 would run out of memory.
+MAX_GENUS_STAR = 10 ** 5
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -140,8 +140,9 @@ def annotate(t: NumberedGraph) -> AnnotatedTree:
     g = t.graph
     if any(g.genus_labels):
         raise NotATree("annotation requires genus 0 at every vertex")
-    sigma, owner = g.sigma, _owner(g)
-    order, parent = _spanning_tree(_vertex_adjacency(g, owner))
+    sigma, owner = g.sigma, _owner(g.vertices)
+    adj = _vertex_adjacency(g, owner)
+    order, parent = _spanning_tree(adj)
     nv = len(g.vertices)
     if len(order) != nv or g.edge_count != nv - 1:
         raise NotATree("annotation requires a connected tree")
@@ -149,15 +150,17 @@ def annotate(t: NumberedGraph) -> AnnotatedTree:
     if n % 2:
         raise OddLeafTotal(f"edge parity is undefined for {n} leaves")
 
-    subtree = [sum(1 for f in part if sigma[f] == f) for part in g.vertices]
+    # A tree vertex's adjacency lists its edges; its other flags are leaves.
+    nu = [len(a) for a in adj]
+    subtree = [len(part) - k for part, k in zip(g.vertices, nu)]
     for v in reversed(order[1:]):
         subtree[parent[v]] += subtree[v]
 
     # An edge takes the parity of the leaf count below its child end.
     parity: dict[int, int] = {}
-    rho, nu = [], []
+    rho = []
     for u, part in enumerate(g.vertices):
-        odd = edges = 0
+        odd = 0
         for f in part:
             p = sigma[f]
             if p == f:
@@ -165,11 +168,9 @@ def annotate(t: NumberedGraph) -> AnnotatedTree:
             else:
                 v = owner[p]
                 x = subtree[v if parent[v] == u else u] % 2
-                edges += 1
             parity[f] = x
             odd += x
         rho.append(odd)
-        nu.append(edges)
     internal = tuple(x > 1 for x in nu)
     return AnnotatedTree(t, parity, tuple(rho), tuple(nu), internal)
 
@@ -267,47 +268,45 @@ def _numbered_tree(leaves, ends) -> NumberedGraph:
     return NumberedGraph(graph, {k: k for k in range(1, n + 1)})
 
 
-def _family_to_tree(n: int, family: tuple[int, ...],
-                    parents: tuple[int, ...]) -> tuple[bytes, NumberedGraph]:
-    """The tree of a laminar family and its canonical form.
-
-    Vertex 0 is the root (the side of leaf 1) and vertex i+1 realizes
-    split i, hung on its parent; flags n+1, n+2, ... are the edges, in split
-    order.  A leaf goes to the first split containing it in family order,
-    the smallest.  The canonical form comes from one walk over the parent
-    links and the leaf labels, before the Graph is built.
-    """
-    parts: list[list[int]] = [[1]] + [[] for _ in family]
-    for x in range(2, n + 1):
-        bit = 1 << (x - 2)
-        v = 0
-        for i, mask in enumerate(family):
-            if mask & bit:
-                v = i + 1
-                break
-        parts[v].append(x)
-    adj: list[list[int]] = [[]] + [[p] for p in parents]
-    for i, p in enumerate(parents):
-        adj[p].append(i + 1)
-    colors = [(0, 0, tuple(p)) for p in parts]
-    key = _form_bytes(True, [("t", _tree_search(adj, colors)[0])])
-    ends = [(p, i + 1) for i, p in enumerate(parents)]
-    return key, _numbered_tree(parts, ends)
-
-
 def enumerate_trees(n: int, edge_count: Optional[int] = None
                     ) -> list[NumberedGraph]:
     """All isomorphism classes of stable numbered trees of type (0, n).
 
     Exactly one representative per class, in a deterministic order (sorted
     canonical forms); n <= MAX_LEAVES_NUMBERED, as the count grows like n!.
+
+    In the tree of a laminar family, vertex 0 is the root (the side of leaf
+    1) and vertex i+1 realizes split i, hung on its parent; flags n+1, n+2,
+    ... are the edges, in split order.  A leaf goes to the smallest split
+    containing it, so a vertex takes the leaves of its split less its
+    children's, read from a table of every mask's leaves.  The adjacency,
+    centres and edge ends depend only on the parent links: one call finds
+    them once per parent-link tuple.  The key comes from one tree walk.
     """
     if not 3 <= n <= MAX_LEAVES_NUMBERED:
         raise OutOfRange(f"leaf count {n} outside 3..{MAX_LEAVES_NUMBERED}")
     if edge_count is not None and not 0 <= edge_count <= n - 3:
         raise OutOfRange(f"edge count {edge_count} outside 0..{n - 3}")
-    keyed = [_family_to_tree(n, fam, parents)
-             for fam, parents in _laminar_families(n, edge_count)]
+    leaves = [tuple(b + 2 for b in range(n - 1) if m >> b & 1)
+              for m in range(1 << (n - 1))]
+    shapes: dict[tuple[int, ...], tuple] = {}
+    keyed = []
+    for family, parents in _laminar_families(n, edge_count):
+        if parents not in shapes:
+            adj: list[list[int]] = [[]] + [[p] for p in parents]
+            for i, p in enumerate(parents):
+                adj[p].append(i + 1)
+            shapes[parents] = (adj, _tree_centers(adj),
+                               [(p, i + 1) for i, p in enumerate(parents)])
+        adj, centers, ends = shapes[parents]
+        own = [len(leaves) - 1, *family]
+        for i, p in enumerate(parents):
+            own[p] ^= family[i]
+        parts = [leaves[m] for m in own]
+        parts[0] = (1,) + parts[0]
+        enc = _tree_search(adj, [(0, 0, p) for p in parts], centers)[0]
+        keyed.append((_form_bytes(True, [("t", enc)]),
+                      _numbered_tree(parts, ends)))
     keyed.sort(key=itemgetter(0))
     return [t for _, t in keyed]
 

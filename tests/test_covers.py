@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
+import sys
 
 import pytest
 
@@ -14,7 +16,7 @@ from hyperstrata.covers import (
     rational_component_count,
     verify_injectivity,
 )
-from hyperstrata.errors import OutOfRange, Unstabilizable
+from hyperstrata.errors import HyperstrataError, OutOfRange, Unstabilizable
 from hyperstrata.graphs import (
     Graph,
     NumberedGraph,
@@ -214,14 +216,93 @@ def _pushforward_pool(numbered, orbits):
     return pool
 
 
+def _random_tree(rng: random.Random) -> NumberedGraph:
+    # A seeded genus-0 tree that need not be stable: 1 to 9 vertices with 0
+    # to 3 leaves each and an even total of at least two, so vertices with
+    # one leaf and one edge, two edges and no leaf, or one edge and no leaf
+    # all occur.  Flag ids, vertex order and numbering are shuffled.  (With
+    # no leaves the cover is two disjoint sheets, which stabilize refuses.)
+    nv = rng.randint(1, 9)
+    weights = [rng.randint(0, 3) for _ in range(nv)]
+    while sum(weights) < 2 or sum(weights) % 2:
+        weights[rng.randrange(nv)] += 1
+    ends = [(rng.randrange(v), v) for v in range(1, nv)]
+    ids = iter(rng.sample(range(1, 1000), sum(weights) + 2 * len(ends)))
+    parts = [[next(ids) for _ in range(w)] for w in weights]
+    leaves = [f for part in parts for f in part]
+    sigma = {}
+    for u, v in ends:
+        a, b = next(ids), next(ids)
+        sigma[a], sigma[b] = b, a
+        parts[u].append(a)
+        parts[v].append(b)
+    rng.shuffle(parts)
+    rng.shuffle(leaves)
+    graph = Graph([f for part in parts for f in part], sigma, parts,
+                  [0] * nv)
+    return NumberedGraph(graph, {f: i + 1 for i, f in enumerate(leaves)})
+
+
+def _relabelled(t: NumberedGraph, rng: random.Random) -> NumberedGraph:
+    g = t.graph
+    new = dict(zip(sorted(g.sigma), rng.sample(range(1, 1000), len(g.sigma))))
+    graph = Graph(new.values(), {new[f]: new[p] for f, p in g.sigma.items()},
+                  [[new[f] for f in part] for part in g.vertices],
+                  g.genus_labels)
+    return NumberedGraph(graph, {new[f]: i for f, i in t.numbering.items()})
+
+
+def _outcome(build, t):
+    try:
+        img = build(t)
+    except HyperstrataError as e:
+        return type(e), str(e)
+    return img.sigma, img.vertices, img.genus_labels
+
+
 def test_pushforward_matches_stabilized_cover(numbered, orbits):
-    # Oracle: splicing the raw lifted data gives the graph that stabilize
-    # gives on the validated cover Graph.
-    for t in _pushforward_pool(numbered, orbits):
-        img, ref = pushforward(t), stabilize(admissible_cover_graph(t))
-        assert img.sigma == ref.sigma
-        assert img.vertices == ref.vertices
-        assert img.genus_labels == ref.genus_labels
+    # Oracle: the lift with its cherries spliced, then the splice loop, gives
+    # what stabilize gives on the validated, unspliced cover Graph, error
+    # type and message included.  Beyond the pinned pool: seeded unstable
+    # trees, stable trees with shuffled flag ids, and large star trees.
+    rng = random.Random(20261020)
+    pool = _pushforward_pool(numbered, orbits)
+    pool += [annotate(_random_tree(rng)) for _ in range(3000)]
+    pool += [annotate(_relabelled(c.representative, rng))
+             for n in (6, 8, 10) for c in orbits(n)]
+    pool += [build_T_lg(g, g) for g in (50, 500, 4000)]
+    raised = 0
+    for t in pool:
+        img = _outcome(pushforward, t)
+        assert img == _outcome(lambda t: stabilize(admissible_cover_graph(t)),
+                               t)
+        raised += isinstance(img[0], type)
+    assert 0 < raised < len(pool)
+
+
+def test_splice_maps_flags_only_for_an_unstable_vertex(numbered,
+                                                       monkeypatch):
+    # The lift of a stable tree comes with its cherries spliced, so the
+    # splice loop finds no unstable vertex in it and builds no flag-to-vertex
+    # map; stabilize on the unspliced cover builds one, at its first cherry.
+    from hyperstrata import graphs
+
+    maps = []
+    owner = graphs._owner
+
+    def counted(parts):
+        if sys._getframe(1).f_code is graphs._splice.__code__:
+            maps.append(len(parts))
+        return owner(parts)
+
+    monkeypatch.setattr(graphs, "_owner", counted)
+    trees = numbered(8)
+    for t in trees:
+        pushforward(annotate(t))
+    assert len(trees) == 39208 and maps == []
+    # the cover of T_{3,4}: the centre's vertex and three cherries
+    stabilize(admissible_cover_graph(build_T_lg(3, 4)))
+    assert maps == [4]
 
 
 def test_pushforward_images_are_pinned(numbered, orbits):

@@ -10,7 +10,7 @@ from math import factorial
 
 import pytest
 
-from hyperstrata.errors import NotATree, OddLeafTotal, OutOfRange
+from hyperstrata.errors import NotATree, OddLeafTotal, OutOfRange, TooLarge
 from hyperstrata.graphs import (
     Graph,
     NumberedGraph,
@@ -25,8 +25,8 @@ from hyperstrata.graphs import (
 )
 from hyperstrata.serialize import graph_to_json
 from hyperstrata.trees import (
+    MAX_GENUS_STAR,
     StratumClass,
-    _family_to_tree,
     _laminar_families,
     _least_leaves,
     _min_weight,
@@ -230,16 +230,35 @@ def _cut_masks(t: NumberedGraph) -> list[int]:
     return sorted(out)
 
 
-def test_family_trees_cut_their_splits_and_key_on_their_form():
-    # Each edge of a family's tree cuts off exactly one split of the family
-    # (n <= 7), and the key the enumeration sorts on is the tree's
-    # canonical form (n <= 8).
+def test_family_trees_cut_their_splits_and_key_on_their_form(numbered):
+    # The canonical forms of the enumerated trees strictly increase (n <= 8),
+    # so the key the enumeration sorts on is the canonical form and no class
+    # comes twice; and the edges of the trees cut off exactly the laminar
+    # families' splits (n <= 7).
     for n in range(3, 9):
-        for family, parents in _laminar_families(n):
-            key, t = _family_to_tree(n, family, parents)
-            assert key == canonical_form(t)
-            if n <= 7:
-                assert _cut_masks(t) == sorted(family)
+        forms = [canonical_form(t) for t in numbered(n)]
+        assert all(a < b for a, b in zip(forms, forms[1:]))
+        if n <= 7:
+            assert {tuple(_cut_masks(t)) for t in numbered(n)} == \
+                {tuple(sorted(family)) for family, _ in _laminar_families(n)}
+
+
+def test_enumeration_finds_centres_once_per_parent_links(monkeypatch):
+    # The 39,208 families of n = 8 have 85 distinct parent-link tuples, and
+    # the centres (with the adjacency and edge ends) depend only on those.
+    from hyperstrata import graphs, trees
+
+    calls = []
+    centers = graphs._tree_centers
+
+    def counted(adj):
+        calls.append(len(adj))
+        return centers(adj)
+
+    monkeypatch.setattr(graphs, "_tree_centers", counted)
+    monkeypatch.setattr(trees, "_tree_centers", counted)
+    assert len(enumerate_trees(8)) == 39208
+    assert len(calls) == 85
 
 
 def test_enumerated_vertex_parts_are_untracked():
@@ -387,6 +406,8 @@ def test_build_T_lg_layout():
         build_T_lg(3, 2)
     with pytest.raises(OutOfRange):
         build_T_lg(0, 1)
+    with pytest.raises(TooLarge, match=f"genus {MAX_GENUS_STAR + 1} exceeds"):
+        build_T_lg(1, MAX_GENUS_STAR + 1)
 
 
 def test_good_classes_search_empty_at_g_edges():
