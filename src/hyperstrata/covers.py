@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import OddLeafTotal, OutOfRange
+from .errors import DisconnectedGraph, OddLeafTotal, OutOfRange
 from .graphs import (
     Graph,
     _owner,
@@ -95,8 +95,11 @@ def pushforward(t: AnnotatedTree) -> Graph:
 
     Equal to ``stabilize(admissible_cover_graph(t))``: the splice loop of
     ``stabilize`` runs on the lift with its cherries spliced out, and checks
-    the image (stable, connected, genus g = n/2 - 1, no leaves).  It keeps
-    no trace; the CLI builds one with ``pushforward_trace``."""
+    the image (stable, connected, genus g = n/2 - 1, no leaves).  Both
+    refuse a leafless tree, whose cover is two disjoint sheets, with
+    DisconnectedGraph.  It keeps no trace; see ``pushforward_trace``."""
+    if not t.graph.leaves:
+        raise DisconnectedGraph("a leafless tree's cover is two sheets")
     parts, sigma, labels = _lift(t, len(t.graph.leaves) > 4)
     return _splice(sigma, parts, labels, len(t.graph.leaves) // 2 - 1, ())
 

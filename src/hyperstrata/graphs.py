@@ -6,16 +6,20 @@ nonnegative genus label on every vertex.  Loops and parallel edges are fully
 supported; a vertex may end up with an empty flag set (the dual graph of a
 smooth unmarked curve).  Values are immutable after construction and all
 operations are pure functions, so they are safe to share between workers.
-Every construction is fully validated.  A graph holds only what its
-constructor computes, and nothing writes to it afterwards: derived data
-(the flag set, the edge set, the flag-to-vertex map, connectivity,
-adjacency lists) is computed when asked for and never kept, since keeping
-it would cost memory on every graph; an operation that needs the
-flag-to-vertex map builds it once.  A vertex part is a sorted tuple of its
-flags, not a frozenset: the garbage collector stops tracking a tuple of
-ints at its first collection (it always tracks a frozenset), so a large
-batch of graphs is not rescanned by every full collection, and the tuple
-is about a third of the size.
+
+A graph holds only its stored form: the involution as a full int dict,
+leaves fixed, keyed in the order of the frozenset of its flags; the vertex
+parts as a tuple of sorted int tuples; the genus labels as an int tuple;
+and its sorted leaves.  The public constructor normalizes any input into
+that form.  The library's producers (tree building, the splice loop of
+``stabilize``) build it directly and hand it to ``_stored``, which skips
+only the normalization: both routes end in the same validation, and the
+graph owns the data afterwards.  Nothing writes to a graph; derived data
+(flag set, edges, flag-to-vertex map, connectivity, adjacency) is built
+when asked for and never kept, as that would cost memory on every graph.
+A part is a tuple, not a frozenset: the garbage collector stops tracking
+a tuple of ints at its first collection, so a large batch of graphs is
+not rescanned by every full collection.
 
 Flag identifiers are opaque integers; neither vertex order nor flag order
 carries meaning.  Graph identity is defined by ``canonical_form`` only.
@@ -41,7 +45,8 @@ Edge = frozenset
 
 
 class Graph:
-    """An immutable (flags, involution, vertex partition, genus) value."""
+    """An immutable (flags, involution, vertex partition, genus) value.
+    The constructor takes any input; ``_stored`` takes the stored form."""
 
     __slots__ = ("sigma", "vertices", "genus_labels", "_leaves")
 
@@ -49,30 +54,40 @@ class Graph:
                  vertices: Iterable[Iterable[Flag]],
                  genus_labels: Iterable[int]):
         flag_set = frozenset(map(int, flags))
-        self.sigma = {f: int(sigma.get(f, f)) for f in flag_set}
-        self.vertices = tuple([tuple(sorted(set(map(int, part))))
-                               for part in vertices])
-        self.genus_labels = tuple(map(int, genus_labels))
-        self._validate(flag_set)
-        self._leaves = tuple(sorted(f for f, p in self.sigma.items()
-                                    if p == f))
+        self._own({f: int(sigma.get(f, f)) for f in flag_set},
+                  tuple([tuple(sorted(set(map(int, part))))
+                         for part in vertices]),
+                  tuple(map(int, genus_labels)))
 
-    def _validate(self, flags: frozenset) -> None:
-        if not self.vertices:
+    @classmethod
+    def _stored(cls, sigma: dict[Flag, Flag], vertices: tuple[tuple, ...],
+                genus_labels: tuple[int, ...]) -> Graph:
+        """A graph owning data already in stored form, validated alike."""
+        g = cls.__new__(cls)
+        g._own(sigma, vertices, genus_labels)
+        return g
+
+    def _own(self, sigma, vertices, genus_labels) -> None:
+        """Take stored-form data, validate it and find the leaves.  A flag
+        repeated within a part fails as overlapping parts."""
+        self.sigma, self.vertices, self.genus_labels = \
+            sigma, vertices, genus_labels
+        if not vertices:
             raise InvalidGraph("a graph needs at least one vertex")
-        if len(self.genus_labels) != len(self.vertices):
+        if len(genus_labels) != len(vertices):
             raise InvalidGraph("genus labels must align with vertices")
-        if any(g < 0 for g in self.genus_labels):
+        if min(genus_labels) < 0:
             raise InvalidGraph("genus labels must be nonnegative")
-        seen = set().union(*self.vertices)
-        if len(seen) != sum(map(len, self.vertices)):
+        seen = set().union(*vertices)
+        if len(seen) != sum(map(len, vertices)):
             raise InvalidGraph("vertex parts must be disjoint")
-        if seen != flags:
+        if seen != sigma.keys():
             raise InvalidGraph("vertices must partition the flag set")
-        for f, p in self.sigma.items():
-            if p not in flags or self.sigma[p] != f:
+        for f, p in sigma.items():
+            if p not in sigma or sigma[p] != f:
                 raise InvalidGraph("involution must be a self-inverse map "
                                    "on the flags")
+        self._leaves = tuple(sorted([f for f, p in sigma.items() if p == f]))
 
     @property
     def flags(self) -> frozenset:
@@ -112,13 +127,21 @@ class NumberedGraph:
     __slots__ = ("graph", "numbering")
 
     def __init__(self, graph: Graph, numbering: Mapping[Flag, int]):
-        self.graph = graph
-        self.numbering = {int(f): int(i) for f, i in numbering.items()}
-        leaves = set(graph.leaves)
-        if set(self.numbering) != leaves:
+        self._own(graph, {int(f): int(i) for f, i in numbering.items()})
+
+    @classmethod
+    def _stored(cls, graph: Graph, numbering: dict[Flag, int]
+                ) -> NumberedGraph:
+        """A numbered graph owning an int numbering, validated alike."""
+        ng = cls.__new__(cls)
+        ng._own(graph, numbering)
+        return ng
+
+    def _own(self, graph: Graph, numbering: dict[Flag, int]) -> None:
+        self.graph, self.numbering = graph, numbering
+        if set(numbering) != set(graph.leaves):
             raise InvalidGraph("numbering must be defined on exactly the leaves")
-        values = sorted(self.numbering.values())
-        if values != list(range(1, len(leaves) + 1)):
+        if sorted(numbering.values()) != list(range(1, len(numbering) + 1)):
             raise InvalidGraph("numbering must be a bijection onto 1..n")
 
     def __repr__(self) -> str:
@@ -222,9 +245,7 @@ def stabilize(g: GraphLike) -> GraphLike:
              - len(graph.vertices) + 1)
     result = _splice(dict(graph.sigma), [list(p) for p in graph.vertices],
                      list(graph.genus_labels), total, graph.leaves)
-    if numbered:
-        return NumberedGraph(result, g.numbering)
-    return result
+    return NumberedGraph._stored(result, g.numbering) if numbered else result
 
 
 def _splice(sigma: dict[Flag, Flag], parts: list[list[Flag] | None],
@@ -277,8 +298,11 @@ def _splice(sigma: dict[Flag, Flag], parts: list[list[Flag] | None],
         i += 1
 
     kept = [i for i, p in enumerate(parts) if p is not None]
-    result = Graph(sigma.keys(), sigma, [parts[i] for i in kept],
-                   [labels[i] for i in kept])
+    # Keyed as the constructor keys: a frozenset built from the dict itself
+    # is presized, and may iterate in another order than one from its keys.
+    result = Graph._stored({f: sigma[f] for f in frozenset(sigma.keys())},
+                           tuple([tuple(sorted(parts[i])) for i in kept]),
+                           tuple([labels[i] for i in kept]))
     if not is_stable(result):
         raise Unstabilizable("residual positive-genus vertex with too few flags")
     if genus(result) != total or set(result.leaves) != leaves:
@@ -319,10 +343,7 @@ def contract_edges(g: GraphLike, edges_to_contract) -> GraphLike:
     clusters: dict[int, list[int]] = {}
     for i in range(len(graph.vertices)):
         clusters.setdefault(find(i), []).append(i)
-    internal_edges: dict[int, int] = {r: 0 for r in clusters}
-    for e in chosen:
-        f1, _ = sorted(e)
-        internal_edges[find(owner[f1])] += 1
+    internal_edges = Counter(find(owner[min(e)]) for e in chosen)
 
     dropped = {f for e in chosen for f in e}
     new_parts, new_labels = [], []
@@ -334,9 +355,7 @@ def contract_edges(g: GraphLike, edges_to_contract) -> GraphLike:
         new_labels.append(label)
     sigma = {f: p for f, p in graph.sigma.items() if f not in dropped}
     result = Graph(sigma.keys(), sigma, new_parts, new_labels)
-    if numbered:
-        return NumberedGraph(result, g.numbering)
-    return result
+    return NumberedGraph(result, g.numbering) if numbered else result
 
 
 # --------------------------------------------------------------------------
@@ -587,13 +606,5 @@ def leq(g1: GraphLike, g2: GraphLike) -> bool:
     need = len(edges) - _as_graph(g2).edge_count
     if need < 0:
         return False
-    seen = set()
-    for subset in itertools.combinations(edges, need):
-        contracted = contract_edges(g1, [frozenset(e) for e in subset])
-        form = canonical_form(contracted)
-        if form in seen:
-            continue
-        seen.add(form)
-        if form == target:
-            return True
-    return False
+    return any(canonical_form(contract_edges(g1, [frozenset(e) for e in s]))
+               == target for s in itertools.combinations(edges, need))

@@ -297,23 +297,6 @@ def lyndon_words(alphabet: GradedAlphabet, multidegree) -> list[str]:
             if _is_lyndon_key(w)]
 
 
-def duval_words(n_letters: int, max_length: int) -> list[tuple[int, ...]]:
-    """All Lyndon words of length <= max_length over 0..n_letters-1, in lex
-    order, generated by Duval's iteration (used as an independent check)."""
-    out = []
-    w = [0]
-    while True:
-        out.append(tuple(w))
-        period = len(w)
-        while len(w) < max_length:
-            w.append(w[len(w) - period])
-        while w and w[-1] == n_letters - 1:
-            w.pop()
-        if not w:
-            return out
-        w[-1] += 1
-
-
 def _square_half(alphabet: GradedAlphabet, counts) -> list[int] | None:
     """The half multidegree whose Lyndon words enter the basis of counts as
     squares, or None: squares occur when every letter count is even and the

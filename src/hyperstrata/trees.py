@@ -56,17 +56,18 @@ from .graphs import (
     graph_type,
 )
 
-# enumerate_trees grows like n!: n = 8 takes 2.2-3.6 s and 89 MB max RSS,
-# n = 9 takes 53 s and 1.35 GB (660,032 trees), and `enumerate --n 9` 170 s
-# and 1.38 GB, both in a 4 GB address space; n = 10 would build 12,818,912.
+# enumerate_trees grows like n!: n = 8 takes 2.6-3.0 s and 90 MB max RSS,
+# n = 9 takes 52 s and 1.32 GB (660,032 trees), and `enumerate --n 9` 109 s
+# and 1.32 GB, both in a 4 GB address space; n = 10 would build 12,818,912.
 MAX_LEAVES_NUMBERED = 9
 MAX_LEAVES = 12
 # The goodness-pruned search stays small far beyond the full enumeration
 # bound; 22 leaves covers certificates and F1 tables up to genus 10.
 MAX_LEAVES_GOOD = 22
 # A star tree has 2g + 2 leaves, and `pushforward --tlg g,g` is linear in g:
-# 0.21 s at g = 4000, and 2.8 s, 279 MB max RSS and 20 MB of JSON at
-# g = 10^5 (one process each); g = 10^12 would run out of memory.
+# 0.24-0.36 s at g = 4000, and 1.9-2.3 s, 279 MB max RSS and 20 MB of JSON
+# at g = 10^5 (one process each); g = 10^12 would run out of memory.  Both
+# comments time cold processes on a shared 2-CPU machine.
 MAX_GENUS_STAR = 10 ** 5
 
 
@@ -254,18 +255,20 @@ def _laminar_families(n: int, edge_count: Optional[int] = None
 def _numbered_tree(leaves, ends) -> NumberedGraph:
     """The genus-0 tree with leaves 1..n on its vertices, in vertex order,
     and an edge per (u, v) pair of ends, numbered by identity: the edges
-    take the flags n+1, n+2, ... in order, the lower one at u."""
+    take the flags n+1, n+2, ... in order, the lower one at u.  Each vertex's
+    leaves must come in increasing order: then the parts are sorted and the
+    flags keyed 1, 2, ..., the order of their frozenset (the stored form)."""
     parts = [list(p) for p in leaves]
     n = sum(map(len, parts))
-    sigma: dict[int, int] = {}
+    sigma = {k: k for k in range(1, n + 1)}
     f = n + 1
     for u, v in ends:
         sigma[f], sigma[f + 1] = f + 1, f
         parts[u].append(f)
         parts[v].append(f + 1)
         f += 2
-    graph = Graph(range(1, f), sigma, parts, [0] * len(parts))
-    return NumberedGraph(graph, {k: k for k in range(1, n + 1)})
+    graph = Graph._stored(sigma, tuple(map(tuple, parts)), (0,) * len(parts))
+    return NumberedGraph._stored(graph, {k: k for k in range(1, n + 1)})
 
 
 def enumerate_trees(n: int, edge_count: Optional[int] = None

@@ -2,19 +2,33 @@ from __future__ import annotations
 
 import pytest
 
+from hyperstrata import graphs, trees
 from hyperstrata.trees import enumerate_trees, unnumbered_classes
 
 
 @pytest.fixture(scope="session")
 def numbered():
-    cache = {}
+    # Each build also counts the tree centres it finds, in get.centre_calls.
+    cache, centre_calls = {}, {}
 
     def get(n, edge_count=None):
         key = (n, edge_count)
         if key not in cache:
-            cache[key] = enumerate_trees(n, edge_count)
+            calls = []
+            centers = graphs._tree_centers
+
+            def counted(adj):
+                calls.append(len(adj))
+                return centers(adj)
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(graphs, "_tree_centers", counted)
+                mp.setattr(trees, "_tree_centers", counted)
+                cache[key] = enumerate_trees(n, edge_count)
+            centre_calls[key] = len(calls)
         return cache[key]
 
+    get.centre_calls = centre_calls
     return get
 
 

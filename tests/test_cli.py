@@ -357,6 +357,17 @@ def test_tree_with_positive_genus_label_exits_two(capsys, tmp_path):
         assert "Traceback" not in err and "genus 0" in err, command
 
 
+def test_leafless_tree_exits_two(capsys, tmp_path):
+    # Two vertices joined by one edge, no leaves: the cover is two sheets.
+    tree = {"format": 1, "flags": [1, 2], "involution": [[1, 2]],
+            "vertices": [[1], [2]], "genus": [0, 0], "leaf_numbering": {}}
+    path = tmp_path / "tree.json"
+    path.write_text(json.dumps(tree))
+    code, out, err = run_cli(capsys, "pushforward", "--tree", str(path))
+    assert code == 2 and out == ""
+    assert "Traceback" not in err and "two sheets" in err
+
+
 def test_out_flag_writes_file(capsys, tmp_path):
     target = tmp_path / "out.json"
     code, out, _ = run_cli(capsys, "certify", "--genus", "2",

@@ -16,7 +16,12 @@ from hyperstrata.covers import (
     rational_component_count,
     verify_injectivity,
 )
-from hyperstrata.errors import HyperstrataError, OutOfRange, Unstabilizable
+from hyperstrata.errors import (
+    DisconnectedGraph,
+    HyperstrataError,
+    OutOfRange,
+    Unstabilizable,
+)
 from hyperstrata.graphs import (
     Graph,
     NumberedGraph,
@@ -315,6 +320,30 @@ def test_pushforward_images_are_pinned(numbered, orbits):
         h.update(b"\n")
     assert h.hexdigest() == \
         "0c35634ae98adc14afddd382e956eeca9503b3d945ae363ebc941923b61eec78"
+
+
+def _leafless_tree(nv: int) -> NumberedGraph:
+    # A path on nv vertices with no leaves: edge i joins vertex i, by flag
+    # 2i + 1, to vertex i + 1, by flag 2i + 2.
+    parts: list[list[int]] = [[] for _ in range(nv)]
+    sigma = {}
+    for i in range(nv - 1):
+        sigma[2 * i + 1], sigma[2 * i + 2] = 2 * i + 2, 2 * i + 1
+        parts[i].append(2 * i + 1)
+        parts[i + 1].append(2 * i + 2)
+    return NumberedGraph(Graph(sigma, sigma, parts, [0] * nv), {})
+
+
+def test_leafless_trees_have_disconnected_covers():
+    # With no leaves the cover is unramified: two disjoint sheets.  Both
+    # routes refuse it with the same error type.
+    for nv in (1, 2, 4):
+        t = annotate(_leafless_tree(nv))
+        assert t.rho == (0,) * nv
+        with pytest.raises(DisconnectedGraph):
+            pushforward(t)
+        with pytest.raises(DisconnectedGraph):
+            stabilize(admissible_cover_graph(t))
 
 
 def test_four_leaf_trees_have_no_stable_image(numbered):

@@ -32,7 +32,13 @@ from hyperstrata.graphs import (
 )
 from hyperstrata.covers import admissible_cover_graph, pushforward
 from hyperstrata.serialize import graph_to_json
-from hyperstrata.trees import annotate, build_T_lg
+from hyperstrata.trees import (
+    annotate,
+    build_T_lg,
+    enumerate_trees,
+    good_classes,
+    unnumbered_classes,
+)
 
 
 def two_vertex_triple_edge():
@@ -690,6 +696,97 @@ def test_stabilize_searches_connectivity_once(monkeypatch):
     monkeypatch.setattr(graphs, "_spanning_tree", counted)
     stabilize(g)
     assert calls == [0]
+
+
+def _assert_normalized(g):
+    # The public constructor, given a graph's own data, leaves it as it is:
+    # involution items in order, parts, labels, leaves and numbering.
+    graph = g.graph if isinstance(g, NumberedGraph) else g
+    ref = Graph(graph.sigma, graph.sigma, graph.vertices, graph.genus_labels)
+    assert list(graph.sigma.items()) == list(ref.sigma.items())
+    assert graph.vertices == ref.vertices
+    assert graph.genus_labels == ref.genus_labels
+    assert graph.leaves == ref.leaves
+    if isinstance(g, NumberedGraph):
+        assert list(g.numbering.items()) == \
+            list(NumberedGraph(ref, g.numbering).numbering.items())
+
+
+def test_stored_form_matches_the_constructor(monkeypatch):
+    # Oracle for the stored-form entry: every graph the library hands to
+    # _stored, from each producer, is what the public constructor makes of
+    # the same data.
+    built = []
+    for cls in (Graph, NumberedGraph):
+        def record(cls, *data, stored=cls._stored):
+            built.append(stored(*data))
+            return built[-1]
+        monkeypatch.setattr(cls, "_stored", classmethod(record))
+    for n in range(3, 8):
+        for t in enumerate_trees(n):
+            if n % 2 == 0 and n > 4:
+                pushforward(annotate(t))
+    for n in range(3, 13):
+        unnumbered_classes(n)
+    for g in range(2, 9):
+        for c in good_classes(g):
+            pushforward(c.annotated())
+    for g in (2, 3, 4, 10, 50):
+        for l in sorted({0, 1, g // 2, g}):
+            pushforward(build_T_lg(l, g))
+    stabilize(admissible_cover_graph(build_T_lg(3, 4)))
+    # a numbered path whose middle vertex holds only its two edge flags
+    path = NumberedGraph(Graph(range(1, 9), {5: 6, 6: 5, 7: 8, 8: 7},
+                               [{1, 2, 5}, {6, 7}, {3, 4, 8}], [0, 0, 0]),
+                         {k: k for k in range(1, 5)})
+    assert isinstance(stabilize(path), NumberedGraph)
+    kinds = Counter(type(g) for g in built)
+    assert kinds[NumberedGraph] > 7000 and kinds[Graph] > 10000
+    for g in built:
+        _assert_normalized(g)
+
+
+@pytest.mark.parametrize("sigma, parts, labels, message", [
+    ({}, (), (), "at least one vertex"),
+    ({1: 1, 2: 2}, ((1, 2),), (0, 0), "align"),
+    ({1: 1, 2: 2}, ((1, 2),), (-1,), "nonnegative"),
+    ({1: 1, 2: 2, 3: 3}, ((1, 2), (2, 3)), (0, 0), "disjoint"),
+    ({1: 1, 2: 2, 3: 3}, ((1, 2),), (0,), "partition"),
+    ({1: 2, 2: 3, 3: 1}, ((1, 2, 3),), (0,), "self-inverse"),
+    ({1: 2, 2: 2}, ((1, 2),), (0,), "self-inverse"),
+    ({1: 5, 2: 2}, ((1, 2),), (0,), "self-inverse"),
+])
+def test_stored_form_runs_every_check(sigma, parts, labels, message):
+    # A planted fault in stored-form data fails as the public constructor
+    # fails on the same data, with the same message.
+    with pytest.raises(InvalidGraph, match=message) as public:
+        Graph(sigma, sigma, parts, labels)
+    with pytest.raises(InvalidGraph, match=message) as stored:
+        Graph._stored(sigma, parts, labels)
+    assert str(stored.value) == str(public.value)
+
+
+def test_stored_form_refuses_a_repeated_flag():
+    # The constructor merges a flag repeated within a part; the stored form
+    # is taken as it is, so there the repeat is an overlap.
+    sigma = {1: 1, 2: 2, 3: 3}
+    assert Graph(sigma, sigma, ((1, 1, 2, 3),), (0,)).vertices == ((1, 2, 3),)
+    with pytest.raises(InvalidGraph, match="disjoint"):
+        Graph._stored(sigma, ((1, 1, 2, 3),), (0,))
+
+
+@pytest.mark.parametrize("numbering, message", [
+    ({1: 1, 2: 2}, "exactly the leaves"),
+    ({1: 1, 2: 2, 3: 1}, "bijection"),
+    ({1: 1, 2: 2, 3: 4}, "bijection"),
+])
+def test_stored_numbering_runs_every_check(numbering, message):
+    g = Graph._stored({1: 1, 2: 2, 3: 3}, ((1, 2, 3),), (0,))
+    with pytest.raises(InvalidGraph, match=message) as public:
+        NumberedGraph(g, numbering)
+    with pytest.raises(InvalidGraph, match=message) as stored:
+        NumberedGraph._stored(g, numbering)
+    assert str(stored.value) == str(public.value)
 
 
 @pytest.mark.parametrize("flags, sigma, parts, message", [

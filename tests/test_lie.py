@@ -19,7 +19,6 @@ from hyperstrata.lie import (
     basis_vector,
     bracket,
     dimension,
-    duval_words,
     is_lyndon,
     lyndon_words,
     normalize,
@@ -79,6 +78,24 @@ def test_multiset_permutations_in_lex_order():
 def _rotation_lyndon(w: tuple[int, ...]) -> bool:
     """The definition: strictly smaller than every proper rotation."""
     return bool(w) and all(w < w[i:] + w[:i] for i in range(1, len(w)))
+
+
+def duval_words(n_letters: int, max_length: int) -> list[tuple[int, ...]]:
+    """All Lyndon words of length <= max_length over 0..n_letters-1, in lex
+    order, generated by Duval's iteration (an independent check of the
+    Lyndon test)."""
+    out = []
+    w = [0]
+    while True:
+        out.append(tuple(w))
+        period = len(w)
+        while len(w) < max_length:
+            w.append(w[len(w) - period])
+        while w and w[-1] == n_letters - 1:
+            w.pop()
+        if not w:
+            return out
+        w[-1] += 1
 
 
 def test_duval_agrees_with_rotation_filter():

@@ -243,22 +243,12 @@ def test_family_trees_cut_their_splits_and_key_on_their_form(numbered):
                 {tuple(sorted(family)) for family, _ in _laminar_families(n)}
 
 
-def test_enumeration_finds_centres_once_per_parent_links(monkeypatch):
+def test_enumeration_finds_centres_once_per_parent_links(numbered):
     # The 39,208 families of n = 8 have 85 distinct parent-link tuples, and
     # the centres (with the adjacency and edge ends) depend only on those.
-    from hyperstrata import graphs, trees
-
-    calls = []
-    centers = graphs._tree_centers
-
-    def counted(adj):
-        calls.append(len(adj))
-        return centers(adj)
-
-    monkeypatch.setattr(graphs, "_tree_centers", counted)
-    monkeypatch.setattr(trees, "_tree_centers", counted)
-    assert len(enumerate_trees(8)) == 39208
-    assert len(calls) == 85
+    # The session build counts its centre calls.
+    assert len(numbered(8)) == 39208
+    assert numbered.centre_calls[(8, None)] == 85
 
 
 def test_enumerated_vertex_parts_are_untracked():
