@@ -13,10 +13,10 @@ parts as a tuple of sorted int tuples; the genus labels as an int tuple;
 and its sorted leaves.  The public constructor normalizes any input into
 that form.  The library's producers (tree building, the splice loop of
 ``stabilize``) build it directly and hand it to ``_stored``, which skips
-only the normalization: both routes end in the same validation, and the
-graph owns the data afterwards.  Nothing writes to a graph; derived data
-(flag set, edges, flag-to-vertex map, connectivity, adjacency) is built
-when asked for and never kept, as that would cost memory on every graph.
+only the normalization: both routes end in the same validation.  Graphs
+may share stored-form data, so nothing ever writes to a graph; derived
+data (flag set, edges, flag-to-vertex map, connectivity, adjacency) is
+built when asked for and never kept, as that costs memory on every graph.
 A part is a tuple, not a frozenset: the garbage collector stops tracking
 a tuple of ints at its first collection, so a large batch of graphs is
 not rescanned by every full collection.
@@ -62,7 +62,7 @@ class Graph:
     @classmethod
     def _stored(cls, sigma: dict[Flag, Flag], vertices: tuple[tuple, ...],
                 genus_labels: tuple[int, ...]) -> Graph:
-        """A graph owning data already in stored form, validated alike."""
+        """Validated alike; stored-form data may be shared, never written."""
         g = cls.__new__(cls)
         g._own(sigma, vertices, genus_labels)
         return g
@@ -132,7 +132,7 @@ class NumberedGraph:
     @classmethod
     def _stored(cls, graph: Graph, numbering: dict[Flag, int]
                 ) -> NumberedGraph:
-        """A numbered graph owning an int numbering, validated alike."""
+        """Validated alike; the int numbering may be shared, never written."""
         ng = cls.__new__(cls)
         ng._own(graph, numbering)
         return ng

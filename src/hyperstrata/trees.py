@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, count
 from math import factorial, inf
 from operator import itemgetter
 from typing import Iterator, Optional
@@ -56,9 +56,9 @@ from .graphs import (
     graph_type,
 )
 
-# enumerate_trees grows like n!: n = 8 takes 2.6-3.0 s and 90 MB max RSS,
-# n = 9 takes 52 s and 1.32 GB (660,032 trees), and `enumerate --n 9` 109 s
-# and 1.32 GB, both in a 4 GB address space; n = 10 would build 12,818,912.
+# enumerate_trees grows like n!: n = 8 takes 1.5-1.8 s and 38 MB max RSS,
+# n = 9 takes 29 s and 390 MB (660,032 trees), and `enumerate --n 9` 103 s
+# and 391 MB; n = 10 would build 12,818,912.
 MAX_LEAVES_NUMBERED = 9
 MAX_LEAVES = 12
 # The goodness-pruned search stays small far beyond the full enumeration
@@ -252,23 +252,29 @@ def _laminar_families(n: int, edge_count: Optional[int] = None
     yield from rec(0, [])
 
 
-def _numbered_tree(leaves, ends) -> NumberedGraph:
-    """The genus-0 tree with leaves 1..n on its vertices, in vertex order,
-    and an edge per (u, v) pair of ends, numbered by identity: the edges
-    take the flags n+1, n+2, ... in order, the lower one at u.  Each vertex's
-    leaves must come in increasing order: then the parts are sorted and the
-    flags keyed 1, 2, ..., the order of their frozenset (the stored form)."""
-    parts = [list(p) for p in leaves]
-    n = sum(map(len, parts))
+def _tree_frame(n: int, ends) -> tuple:
+    """What a tree's shape fixes: the involution keyed 1, 2, ... (leaves
+    1..n fixed, an edge per (u, v) pair of ends on the next two flags, the
+    lower at u), the vertices' edge flags, zero labels, identity numbering."""
     sigma = {k: k for k in range(1, n + 1)}
-    f = n + 1
-    for u, v in ends:
+    flags: list[list[int]] = [[] for _ in range(len(ends) + 1)]
+    for f, (u, v) in zip(count(n + 1, 2), ends):
         sigma[f], sigma[f + 1] = f + 1, f
-        parts[u].append(f)
-        parts[v].append(f + 1)
-        f += 2
-    graph = Graph._stored(sigma, tuple(map(tuple, parts)), (0,) * len(parts))
-    return NumberedGraph._stored(graph, {k: k for k in range(1, n + 1)})
+        flags[u].append(f)
+        flags[v].append(f + 1)
+    return (sigma, tuple(map(tuple, flags)), (0,) * len(flags),
+            {k: k for k in range(1, n + 1)})
+
+
+def _numbered_tree(leaves, frame, pool: dict) -> NumberedGraph:
+    """The tree of a frame with leaves on its vertices, each vertex's in
+    increasing order: they precede its edge flags, so the parts are sorted
+    (the stored form).  Equal parts come from pool, one object each."""
+    sigma, flags, labels, numbering = frame
+    parts = tuple([pool.setdefault(p, p) for p in
+                   [(*a, *b) for a, b in zip(leaves, flags)]])
+    return NumberedGraph._stored(Graph._stored(sigma, parts, labels),
+                                 numbering)
 
 
 def enumerate_trees(n: int, edge_count: Optional[int] = None
@@ -279,12 +285,13 @@ def enumerate_trees(n: int, edge_count: Optional[int] = None
     canonical forms); n <= MAX_LEAVES_NUMBERED, as the count grows like n!.
 
     In the tree of a laminar family, vertex 0 is the root (the side of leaf
-    1) and vertex i+1 realizes split i, hung on its parent; flags n+1, n+2,
-    ... are the edges, in split order.  A leaf goes to the smallest split
-    containing it, so a vertex takes the leaves of its split less its
-    children's, read from a table of every mask's leaves.  The adjacency,
-    centres and edge ends depend only on the parent links: one call finds
-    them once per parent-link tuple.  The key comes from one tree walk.
+    1) and vertex i+1 realizes split i, hung on its parent by edge i.  A
+    leaf goes to the smallest split containing it, so a vertex takes the
+    leaves of its split less its children's, read from a table of every
+    mask's leaves.  The adjacency, centres and frame (involution, edge
+    flags, labels, numbering) depend only on the parent links: one call
+    builds them once per parent-link tuple, and its trees share the frame
+    and each distinct vertex part.  The key comes from one tree walk.
     """
     if not 3 <= n <= MAX_LEAVES_NUMBERED:
         raise OutOfRange(f"leaf count {n} outside 3..{MAX_LEAVES_NUMBERED}")
@@ -293,15 +300,16 @@ def enumerate_trees(n: int, edge_count: Optional[int] = None
     leaves = [tuple(b + 2 for b in range(n - 1) if m >> b & 1)
               for m in range(1 << (n - 1))]
     shapes: dict[tuple[int, ...], tuple] = {}
+    pool: dict[tuple[int, ...], tuple[int, ...]] = {}
     keyed = []
     for family, parents in _laminar_families(n, edge_count):
         if parents not in shapes:
             adj: list[list[int]] = [[]] + [[p] for p in parents]
             for i, p in enumerate(parents):
                 adj[p].append(i + 1)
-            shapes[parents] = (adj, _tree_centers(adj),
-                               [(p, i + 1) for i, p in enumerate(parents)])
-        adj, centers, ends = shapes[parents]
+            shapes[parents] = (adj, _tree_centers(adj), _tree_frame(
+                n, [(p, i + 1) for i, p in enumerate(parents)]))
+        adj, centers, frame = shapes[parents]
         own = [len(leaves) - 1, *family]
         for i, p in enumerate(parents):
             own[p] ^= family[i]
@@ -309,7 +317,7 @@ def enumerate_trees(n: int, edge_count: Optional[int] = None
         parts[0] = (1,) + parts[0]
         enc = _tree_search(adj, [(0, 0, p) for p in parts], centers)[0]
         keyed.append((_form_bytes(True, [("t", enc)]),
-                      _numbered_tree(parts, ends)))
+                      _numbered_tree(parts, frame, pool)))
     keyed.sort(key=itemgetter(0))
     return [t for _, t in keyed]
 
@@ -542,9 +550,9 @@ def _weight_assignments(adj, total: int, only_good: bool
 def _shape_to_tree(adj, weights) -> NumberedGraph:
     """Leaves 1..n vertex by vertex, then a flag pair per edge."""
     starts = accumulate(weights, initial=1)
+    ends = [(v, u) for v, nbrs in enumerate(adj) for u in nbrs if u > v]
     return _numbered_tree([range(a, a + wv) for a, wv in zip(starts, weights)],
-                          [(v, u) for v, nbrs in enumerate(adj)
-                           for u in nbrs if u > v])
+                          _tree_frame(sum(weights), ends), {})
 
 
 def unnumbered_classes(n: int, edge_count: Optional[int] = None,
@@ -624,4 +632,5 @@ def build_T_lg(l: int, g: int) -> AnnotatedTree:
     n = 2 * g + 2
     leaves = [range(2 * l + 1, n + 1)]
     leaves += [(2 * i - 1, 2 * i) for i in range(1, l + 1)]
-    return annotate(_numbered_tree(leaves, [(0, i) for i in range(1, l + 1)]))
+    frame = _tree_frame(n, [(0, i) for i in range(1, l + 1)])
+    return annotate(_numbered_tree(leaves, frame, {}))

@@ -10,18 +10,22 @@ from math import factorial
 
 import pytest
 
+from hyperstrata.covers import pushforward
 from hyperstrata.errors import NotATree, OddLeafTotal, OutOfRange, TooLarge
 from hyperstrata.graphs import (
     Graph,
     NumberedGraph,
     _form_bytes,
+    _owner,
     _tree_search,
     automorphism_count,
     betti1,
     canonical_form,
+    contract_edges,
     genus,
     graph_type,
     is_stable,
+    stabilize,
 )
 from hyperstrata.serialize import graph_to_json
 from hyperstrata.trees import (
@@ -252,13 +256,62 @@ def test_enumeration_finds_centres_once_per_parent_links(numbered):
 
 
 def test_enumerated_vertex_parts_are_untracked():
-    # Sorted int tuples leave the collector's lists at its first pass, so a
-    # large enumeration is not rescanned by every full collection.
-    t = enumerate_trees(6)[-1]
+    # Sorted int tuples leave the collector's lists at the first pass that
+    # sees them, and a tuple of them at the next, so a large enumeration is
+    # not rescanned by every full collection.  Automatic passes are held
+    # off during the build: whether one ran after a given tree depends on
+    # the allocation counts that earlier tests left.
+    gc.disable()
+    try:
+        trees = enumerate_trees(6)
+    finally:
+        gc.enable()
     gc.collect()
-    assert not gc.is_tracked(t.graph.vertices)
+    assert not any(gc.is_tracked(p) for t in trees for p in t.graph.vertices)
+    gc.collect()
+    assert not any(gc.is_tracked(t.graph.vertices) for t in trees)
     assert all(type(p) is tuple and list(p) == sorted(p)
-               for p in t.graph.vertices)
+               for t in trees for p in t.graph.vertices)
+
+
+def test_trees_of_one_shape_share_a_frame_that_no_call_writes(numbered):
+    # The trees of one parent-link tuple (read back from the edge flags:
+    # edge i joins flag n+1+2i at the parent to n+2+2i at vertex i+1) share
+    # one involution, label tuple and numbering, and equal vertex parts are
+    # one object within a call.  Sharing is safe only while nothing writes
+    # stored-form data: a sample of trees through the graph operations
+    # leaves every shared object equal to its snapshot.
+    frames, sample = {}, []
+    for n in range(3, 9):
+        parts: dict = {}
+        for t in numbered(n):
+            g = t.graph
+            owner = _owner(g.vertices)
+            assert all(owner[f + 1] == i for i, f in
+                       enumerate(range(n + 1, len(g.sigma), 2), start=1))
+            parents = tuple(owner[f] for f in range(n + 1, len(g.sigma), 2))
+            frame = (g.sigma, g.genus_labels, t.numbering)
+            first = frames.setdefault((n, parents), frame)
+            if first is frame:
+                sample.append(t)
+            assert all(a is b for a, b in zip(first, frame))
+            assert all(parts.setdefault(p, p) is p for p in g.vertices)
+    assert Counter(n for n, _ in frames) == \
+        {3: 1, 4: 2, 5: 4, 6: 9, 7: 25, 8: 85}
+    before = [(list(sigma.items()), labels, list(numbering.items()))
+              for sigma, labels, numbering in frames.values()]
+    for t in sample:
+        g = t.graph
+        if len(g.leaves) in (6, 8):
+            pushforward(annotate(t))
+        stabilize(t)
+        if g.edge_count:
+            contract_edges(t, [next(iter(g.edges))])
+        canonical_form(t)
+        automorphism_count(g)
+        graph_to_json(t)
+    assert before == [(list(sigma.items()), labels, list(numbering.items()))
+                      for sigma, labels, numbering in frames.values()]
 
 
 def test_annotate_one_edge_parities(numbered):
