@@ -85,7 +85,7 @@ def _load_tree(path: str):
     with open(path, encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise FormatError(f"{path} is not JSON: {exc}") from None
     tree = ser.graph_from_json(payload)
     if not isinstance(tree, NumberedGraph):

@@ -9,9 +9,9 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .errors import FormatError, TooLarge
+from .errors import FormatError, NotLyndon, TooLarge, UnknownLetter
 from .graphs import Graph, NumberedGraph
-from .lie import MAX_EXPR_LETTERS, GradedAlphabet, LieVector
+from .lie import MAX_EXPR_LETTERS, GradedAlphabet, LieVector, basis_vector
 from .spectral import Certificate, SpectralTable
 from .trees import AnnotatedTree, annotate
 
@@ -45,25 +45,40 @@ def graph_to_json(g) -> dict:
     return payload
 
 
+def _ints(values, what: str) -> list[int]:
+    """values, if it is a list of JSON integers (no bools or floats)."""
+    if type(values) is not list or any(type(x) is not int for x in values):
+        raise FormatError(f"{what} must be a list of integers")
+    return values
+
+
 def graph_from_json(payload: dict):
+    """Read graph_to_json's form, repairing nothing: numbers are JSON ints,
+    flags unique and paired only with flags, numbering keys decimal."""
     if not isinstance(payload, dict):
         raise FormatError("a graph payload is a JSON object, not "
                           f"{type(payload).__name__}")
     try:
-        if payload.get("format") != FORMAT:
-            raise FormatError(f"unsupported format {payload.get('format')!r}")
-        flags = [int(f) for f in payload["flags"]]
-        sigma = {}
-        for a, b in payload["involution"]:
-            sigma[int(a)] = int(b)
-            sigma[int(b)] = int(a)
-        vertices = [[int(f) for f in part] for part in payload["vertices"]]
-        genus_labels = [int(x) for x in payload["genus"]]
-        numbering = {int(f): int(n)
-                     for f, n in payload.get("leaf_numbering", {}).items()}
+        fmt = payload.get("format")
+        if type(fmt) is not int or fmt != FORMAT:
+            raise FormatError(f"unsupported format {fmt!r}")
+        flags = _ints(payload["flags"], "flags")
+        sigma = dict(zip(flags, flags))
+        for pair in payload["involution"]:
+            a, b = _ints(pair, "an involution pair")
+            sigma[a], sigma[b] = b, a
+        vertices = [_ints(p, "a vertex part") for p in payload["vertices"]]
+        genus_labels = _ints(payload["genus"], "genus labels")
+        numbering = payload.get("leaf_numbering", {})
+        _ints(list(numbering.values()), "leaf numbers")
+        if any(str(int(f)) != f for f in numbering):
+            raise FormatError("leaf numbering keys must be decimal flags")
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed graph payload: {exc}") from exc
     graph = Graph(flags, sigma, vertices, genus_labels)
+    # The constructor drops a repeated flag and a pair off the flags.
+    if {len(flags), len(sigma), sum(map(len, vertices))} != {len(graph.sigma)}:
+        raise FormatError("a flag is repeated, or paired but not in flags")
     if "leaf_numbering" in payload:
         return NumberedGraph(graph, numbering)
     return graph
@@ -87,7 +102,7 @@ def annotated_from_json(payload: dict) -> AnnotatedTree:
         raise FormatError("annotated trees need a leaf numbering")
     t = annotate(tree)
     check = annotated_to_json(t)
-    for field in ("parity", "rho", "nu"):
+    for field in ("parity", "rho", "nu", "internal"):
         if field in payload and payload[field] != check[field]:
             raise FormatError(f"stored {field} disagrees with the tree")
     return t
@@ -111,25 +126,21 @@ def lie_vector_to_text(v: LieVector) -> str:
 
 
 def lie_vector_from_text(text: str, alphabet: GradedAlphabet) -> LieVector:
+    """Read lie_vector_to_text's form; basis_vector builds each term, so
+    an unknown letter, a non-Lyndon word or an even square is refused."""
     text = text.strip()
     if text == "0":
         return LieVector(alphabet, {})
     terms = {}
     for piece in text.split():
-        if "·" not in piece:
-            raise FormatError(f"bad term {piece!r}")
-        coeff_s, body = piece.split("·", 1)
         try:
+            coeff_s, body = piece.split("·", 1)
+            square = body.startswith("(") and body.endswith(")^[2]")
+            key, = basis_vector(body[1:-5] if square else body, alphabet,
+                                square).terms
             coeff = Fraction(coeff_s)
-        except ValueError as exc:
-            raise FormatError(f"bad coefficient {coeff_s!r}") from exc
-        if body.endswith("^[2]"):
-            word = body[:-4]
-            if not (word.startswith("(") and word.endswith(")")):
-                raise FormatError(f"bad square term {piece!r}")
-            key = ("sq", alphabet.key(word[1:-1]))
-        else:
-            key = ("w", alphabet.key(body))
+        except (NotLyndon, UnknownLetter, ValueError, ZeroDivisionError) as exc:
+            raise FormatError(f"bad term {piece!r}: {exc}") from None
         terms[key] = terms.get(key, Fraction(0)) + coeff
     return LieVector(alphabet, terms)
 

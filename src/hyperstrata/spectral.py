@@ -68,7 +68,7 @@ _B = AB.index("b")
 # top generator costs the most of its genus: d1(omega(g)) takes 0.1 s at
 # g = 40, 0.6 s and 36 MB at g = 60, 1.9 s and 71 MB at g = 80 and 4.3 s and
 # 134 MB at g = 100 on a shared 2-CPU machine.  Elements of a larger genus
-# are refused before any Lie work.  verify_leading_terms runs to g = 40.
+# are refused before any Lie work.
 MAX_D1_GENUS = 60
 
 
@@ -170,9 +170,7 @@ class LeadingTermReport:
 def verify_leading_terms(g: int) -> LeadingTermReport:
     """Check the closed-form leading behaviour of d1 on the top generator:
     coefficients (2, g-2) for even g and (0, g-1) for odd g, with every
-    further term on a lexicographically greater Lyndon word."""
-    if not 2 <= g <= 40:
-        raise OutOfRange("supported range is 2 <= g <= 40")
+    further term on a lexicographically greater Lyndon word; omega bounds g."""
     image = d1(omega(g)).vector
     key_a3 = (_A, _A, _A) + (_B,) * (g - 1)
     c_a3 = image.terms.get(("w", key_a3), Fraction(0))

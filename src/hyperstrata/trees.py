@@ -17,12 +17,14 @@ until no shape of a size carries the leaves, with or without an edge count.
 Weight vectors are walked orderly (McKay, J. Algorithms 26, 1998): from
 vertex 0 in lexicographic order, never entering a vector that swapping two
 equal sibling subtrees makes smaller, nor a branch that cannot complete to
-a stable (or good) tree.  The duplicates left come from automorphisms that
-move vertex 0 or that these swaps do not reach.  One tree walk per vector
-gives the key they are dropped on and the orbit size, before any graph is
-built, so each class costs one Graph.  A class keeps the first vector that
-reaches it, the least of its orbit, which no rule skips, so its
-representative is the one the full walk would give.
+a stable (or good) tree.  One dynamic programme states that rule and gives
+each shape's fewest leaves, so every vector walked is a stable (or good)
+weighting.  The duplicates left come from automorphisms that move vertex 0 or
+that these swaps do not reach.  One tree walk per vector gives the key they
+are dropped on and the orbit size, before any graph is built, so each class
+costs one Graph.  A class keeps the first vector that reaches it, the least
+of its orbit, which no rule skips, so its representative is the one the
+full walk would give.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, count
-from math import factorial, inf
+from math import factorial
 from operator import itemgetter
 from typing import Iterator, Optional
 
@@ -65,8 +67,8 @@ MAX_LEAVES = 12
 # bound; 22 leaves covers certificates and F1 tables up to genus 10.
 MAX_LEAVES_GOOD = 22
 # A star tree has 2g + 2 leaves, and `pushforward --tlg g,g` is linear in g:
-# 0.24-0.36 s at g = 4000, and 1.9-2.3 s, 279 MB max RSS and 20 MB of JSON
-# at g = 10^5 (one process each); g = 10^12 would run out of memory.  Both
+# 0.20 s at g = 4000, and 2.7 s, 272 MB max RSS and 20 MB of JSON at
+# g = 10^5 (one process each); g = 10^12 would run out of memory.  Both
 # comments time cold processes on a shared 2-CPU machine.
 MAX_GENUS_STAR = 10 ** 5
 
@@ -408,32 +410,50 @@ def _least_weight(deg: int, only_good: bool, odd: int,
     return low if p is None else low + ((low + odd + p) & 1)
 
 
-def _least_leaves(adj, only_good: bool) -> int:
-    """Fewest leaves of any stable (with only_good, good) weighting of the
-    shape: a dynamic programme over subtrees and the parity of their leaf
-    counts, under the walk's own checks.  Each vertex takes its least
-    weight for either parity of its subtree, and extra leaves on the root
-    break no check, so every larger total has a weighting too."""
+def _walk_dp(adj, only_good: bool) -> tuple:
+    """The weight walk's one feasibility rule for a shape: its postorder
+    from vertex 0 (the root, last), parents, memoized `step` and start.
+
+    step(i, state) gives the fewest leaves positions i.. can take when the
+    state counts the odd finished children of each vertex from the root
+    down to order[i], all that _least_weight reads.  So step(0, start)[0]
+    is the shape's fewest leaves; extra leaves on the root break no check.
+    """
     order, parent = _postorder(adj)
-    # below[v]: the least weight of v's finished children's subtrees, by
-    # how many of them hold an odd leaf count.
-    below: list[dict[int, int]] = [{0: 0} for _ in order]
-    for v in order[:-1]:
-        sub = [min(c + _least_weight(len(adj[v]), only_good, odd, p)
-                   for odd, c in below[v].items()) for p in (0, 1)]
-        up: dict[int, int] = {}
-        for odd, c in below[parent[v]].items():
-            for p in (0, 1):
-                up[odd + p] = min(up.get(odd + p, inf), c + sub[p])
-        below[parent[v]] = up
-    return min(c + _least_weight(len(adj[0]), only_good, odd, None)
-               for odd, c in below[0].items())
+    nv = len(order)
+    deg = [len(adj[v]) for v in order]
+    depth = [0] * nv
+    for v in reversed(order[:-1]):
+        depth[v] = depth[parent[v]] + 1
+    # How many entries the state gains on stepping from i to i + 1.
+    grow = [depth[order[i + 1]] - depth[order[i]] + 1 for i in range(nv - 1)]
+    # Without only_good no check reads a parity, and the state stays 0.
+    parity = int(only_good)
+
+    @lru_cache(maxsize=None)
+    def step(i: int, state: tuple) -> tuple:
+        """The fewest leaves on positions i.. in the given state, and for
+        each parity of order[i]'s subtree the least weight of order[i], the
+        state after it and the fewest leaves after it."""
+        odd = state[-1]
+        if i == nv - 1:
+            return _least_weight(deg[i], only_good, odd, None), ()
+        options = []
+        for p in (0, 1):
+            nxt = state[:-2] + (state[-2] + p * parity,) + (0,) * grow[i]
+            options.append((_least_weight(deg[i], only_good, odd, p), nxt,
+                            step(i + 1, nxt)[0]))
+        return min(wv + rest for wv, _, rest in options), tuple(options)
+
+    return order, parent, step, (0,) * (depth[order[0]] + 1)
 
 
 @lru_cache(maxsize=None)
 def _shape_leasts(nv: int, only_good: bool) -> tuple[int, ...]:
-    """_least_leaves of each shape on nv vertices, in shape order."""
-    return tuple(_least_leaves(adj, only_good) for adj in _tree_shapes(nv))
+    """The fewest leaves of a stable (with only_good, good) weighting of
+    each shape on nv vertices, in shape order, by the walk's own rule."""
+    dps = (_walk_dp(adj, only_good) for adj in _tree_shapes(nv))
+    return tuple(step(0, start)[0] for _, _, step, start in dps)
 
 
 def _weight_assignments(adj, total: int, only_good: bool
@@ -443,13 +463,10 @@ def _weight_assignments(adj, total: int, only_good: bool
     subtrees makes lexicographically smaller.
 
     Vectors come in lexicographic order along the postorder from vertex 0,
-    the root, which comes last and takes the remainder.  The walk's state
-    before position i is the number of odd finished children of each
-    vertex on the path from the root down to order[i], which is all that
-    _least_weight reads; `step` gives the fewest leaves the positions from
-    i on can take in that state, as _least_leaves does for the whole shape,
-    and bounds each position by it.  So no branch lacks a completion.  The
-    caller still applies the authoritative goodness filter afterwards.
+    the root, which comes last and takes the remainder.  Each position is
+    bounded by _walk_dp's `step`, the one rule for stability and goodness,
+    so no branch lacks a completion and every vector is a stable (good)
+    weighting.
 
     Two sibling subtrees with equal plane encodings (children in adjacency
     order) hold aligned blocks of positions, and swapping them is an
@@ -459,20 +476,15 @@ def _weight_assignments(adj, total: int, only_good: bool
     The first vector of each class is the least of its orbit, so it
     always survives.
     """
-    order, parent = _postorder(adj)
+    order, parent, step, start = _walk_dp(adj, only_good)
     nv = len(order)
-    deg = [len(adj[v]) for v in order]
-    pos, depth, size = [0] * nv, [0] * nv, [1] * nv
+    pos, size = [0] * nv, [1] * nv
     plane: list = [()] * nv
     for i, v in enumerate(order):
         pos[v] = i
         kids = [u for u in adj[v] if u != parent[v]]
         plane[v] = tuple(plane[u] for u in kids)
         size[v] += sum(size[u] for u in kids)
-    for v in reversed(order[:-1]):
-        depth[v] = depth[parent[v]] + 1
-    # How many entries the state gains on stepping from i to i + 1.
-    grow = [depth[order[i + 1]] - depth[order[i]] + 1 for i in range(nv - 1)]
     # rules[i]: (rule bit, the aligned vertex of the earlier block, whether
     # position i opens its block), one per block holding position i.
     rules: list[list] = [[] for _ in range(nv)]
@@ -489,38 +501,12 @@ def _weight_assignments(adj, total: int, only_good: bool
             for j in range(size[u]):
                 rules[b + j].append((bit, order[a + j], j == 0))
             bit += 1
-    # Without only_good no check reads a parity, and the state stays 0.
-    parity = int(only_good)
-    memo: list[dict] = [{} for _ in order]
-    last = nv - 1
-
-    def step(i: int, state: tuple) -> tuple:
-        """The fewest leaves on positions i.. in the given state, and for
-        each parity of order[i]'s subtree the least weight of order[i], the
-        state after it and the fewest leaves after it."""
-        hit = memo[i].get(state)
-        if hit is None:
-            odd = state[-1]
-            if i == last:
-                hit = _least_weight(deg[i], only_good, odd, None), ()
-            else:
-                options = []
-                for p in (0, 1):
-                    nxt = (state[:-2] + (state[-2] + p * parity,)
-                           + (0,) * grow[i])
-                    options.append((_least_weight(deg[i], only_good, odd, p),
-                                    nxt, step(i + 1, nxt)[0]))
-                hit = (min(wv + rest for wv, _, rest in options),
-                       tuple(options))
-            memo[i][state] = hit
-        return hit
-
     w = [0] * nv
     out: list[tuple[int, ...]] = []
 
     def rec(i: int, remaining: int, state: tuple, tied: int) -> None:
         v = order[i]
-        if i == last:
+        if i == nv - 1:
             w[v] = remaining
             out.append(tuple(w))
             return
@@ -541,7 +527,6 @@ def _weight_assignments(adj, total: int, only_good: bool
                 w[v] = wv
                 rec(i + 1, remaining - wv, nxt, t)
 
-    start = (0,) * (depth[order[0]] + 1)
     if step(0, start)[0] <= total:
         rec(0, total, start, 0)
     return out
@@ -562,12 +547,12 @@ def unnumbered_classes(n: int, edge_count: Optional[int] = None,
     Each class carries the size of its renumbering orbit, so sums over all
     numbered classes can be taken as orbit-weighted sums over this list.
     With only_good (n even), only classes whose internal vertices all have
-    rho >= 4 are returned.
+    rho >= 4 are returned: the walk generates no other vector.
 
     Shape sizes are taken in increasing order, up to the requested one (or
     every size when no edge count is given), and generation stops at the
-    first size whose shapes all have _least_leaves above n.  A shape is
-    rejected whole when _least_leaves exceeds n; otherwise
+    first size whose shapes all have _shape_leasts above n.  A shape is
+    rejected whole when its least exceeds n; otherwise
     _weight_assignments walks it, never generating a vector that swapping
     two equal sibling subtrees makes smaller.  One walk of the weighted
     shape per vector gives its encoding, hence the key (the built tree's
@@ -606,10 +591,8 @@ def unnumbered_classes(n: int, edge_count: Optional[int] = None,
                 key = _form_bytes(False, [("t", enc)])
                 if key in found:
                     continue
-                tree = _shape_to_tree(adj, weights)
-                if only_good and not is_good(annotate(tree)):
-                    continue
-                found[key] = StratumClass(tree, k, factorial(n) // aut, key)
+                found[key] = StratumClass(_shape_to_tree(adj, weights), k,
+                                          factorial(n) // aut, key)
     return sorted(found.values(), key=lambda c: (c.edge_count, c.canonical_key))
 
 

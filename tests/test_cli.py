@@ -345,6 +345,16 @@ def test_bad_tree_file_exits_two_without_traceback(capsys, tmp_path):
         assert "Traceback" not in err and "hint" in err, name
 
 
+def test_deeply_nested_tree_file_exits_two(capsys, tmp_path):
+    # json recurses once per bracket, so this file raises RecursionError.
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    for command in ("annotate", "pushforward"):
+        code, out, err = run_cli(capsys, command, "--tree", str(path))
+        assert code == 2 and out == "", command
+        assert "Traceback" not in err and "not JSON" in err, command
+
+
 def test_tree_with_positive_genus_label_exits_two(capsys, tmp_path):
     tree = {"format": 1, "flags": list(range(1, 9)), "involution": [[7, 8]],
             "vertices": [[1, 2, 3, 7], [4, 5, 6, 8]], "genus": [1, 0],
@@ -601,6 +611,60 @@ def test_annotated_json_rejects_tampering():
     payload["rho"] = [0] * len(payload["rho"])
     with pytest.raises(FormatError):
         annotated_from_json(payload)
+
+
+def _edgeless_tree(**changes) -> dict:
+    """A numbered edgeless (0, 6) tree's payload, with fields replaced."""
+    return {"format": 1, "flags": list(range(1, 7)), "involution": [],
+            "vertices": [list(range(1, 7))], "genus": [0],
+            "leaf_numbering": {str(k): k for k in range(1, 7)}, **changes}
+
+
+def test_graph_json_refuses_an_involution_pair_off_the_flags():
+    # Graph's constructor would drop the pair and read the edgeless tree.
+    assert graph_from_json(_edgeless_tree()).graph.edge_count == 0
+    with pytest.raises(FormatError):
+        graph_from_json(_edgeless_tree(involution=[[7, 8]]))
+
+
+def test_graph_json_refuses_numbers_that_are_not_integers():
+    # int() would truncate 4.9 to flag 4 and read True as 1.
+    for changes in ({"flags": [1, 2, 3, 4.9, 5, 6]},
+                    {"vertices": [[1, 2, 3, 4.0, 5, 6]]},
+                    {"genus": [False]},
+                    {"leaf_numbering": {**{str(k): k for k in range(1, 6)},
+                                        "6": 6.0}},
+                    {"format": True}):
+        with pytest.raises(FormatError):
+            graph_from_json(_edgeless_tree(**changes))
+
+
+def test_graph_json_refuses_a_flag_repeated_in_a_part():
+    # Graph's constructor would merge [1, 1, 2, 3, 4] into [1, 2, 3, 4].
+    payload = _edgeless_tree(flags=[1, 2, 3, 4], vertices=[[1, 1, 2, 3, 4]],
+                             leaf_numbering={str(k): k for k in range(1, 5)})
+    with pytest.raises(FormatError):
+        graph_from_json(payload)
+    with pytest.raises(FormatError):
+        graph_from_json(_edgeless_tree(flags=[1, 1, 2, 3, 4, 5, 6]))
+
+
+def test_annotated_json_refuses_a_wrong_internal_list():
+    payload = annotated_to_json(build_T_lg(2, 3))
+    assert annotated_from_json(payload)
+    payload["internal"] = [not x for x in payload["internal"]]
+    with pytest.raises(FormatError):
+        annotated_from_json(payload)
+
+
+def test_lie_vector_text_refuses_what_is_not_a_basis_term():
+    # 1/0 is no number; ba is not Lyndon, and the square of the even word b
+    # is zero, so neither is a basis term.
+    for text in ("1/0·ab", "1·ba", "1·(b)^[2]", "1·(ab", "1·", "1·ac"):
+        with pytest.raises(FormatError):
+            lie_vector_from_text(text, AB)
+    assert lie_vector_to_text(lie_vector_from_text("2·(a)^[2]", AB)) == \
+        "2·(a)^[2]"
 
 
 def test_lie_vector_text_roundtrip():

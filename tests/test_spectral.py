@@ -6,7 +6,7 @@ from math import factorial
 
 import pytest
 
-from hyperstrata.errors import LevelZero, OutOfRange
+from hyperstrata.errors import LevelZero, OutOfRange, TooLarge
 from hyperstrata.graphs import automorphism_count
 from hyperstrata.lie import (LieVector, basis_vector, lyndon_words,
                              normalize, standard_bracketing)
@@ -14,6 +14,7 @@ from hyperstrata.serialize import table_to_csv
 from hyperstrata.spectral import (
     AB,
     AB_ODD,
+    MAX_D1_GENUS,
     Certificate,
     VSpaceElement,
     _table_from_classes,
@@ -142,8 +143,16 @@ def test_leading_terms_at_large_genus():
         assert rep.ok, g
         assert rep.coefficient_a3 == 2 and rep.coefficient_a2bab == g - 2
     assert verify_leading_terms(40).ok
+
+
+def test_leading_terms_run_to_omegas_bound():
+    # omega's bounds are the only ones: the law holds at MAX_D1_GENUS = 60.
+    rep = verify_leading_terms(MAX_D1_GENUS)
+    assert rep.ok and rep.coefficient_a2bab == MAX_D1_GENUS - 2
+    with pytest.raises(TooLarge):
+        verify_leading_terms(MAX_D1_GENUS + 1)
     with pytest.raises(OutOfRange):
-        verify_leading_terms(41)
+        verify_leading_terms(1)
 
 
 def test_certificate_structure():

@@ -32,9 +32,9 @@ from hyperstrata.trees import (
     MAX_GENUS_STAR,
     StratumClass,
     _laminar_families,
-    _least_leaves,
     _min_weight,
     _postorder,
+    _shape_leasts,
     _shape_to_tree,
     _tree_shapes,
     _weight_assignments,
@@ -606,20 +606,19 @@ def test_pruned_class_route_matches_the_reference(orbits):
 
 
 def test_least_leaves_decides_whether_a_shape_has_a_weighting():
-    # The dynamic programme is exact: a shape carries a stable (or good)
-    # weighting with n leaves exactly when n reaches its least.  Below it
-    # the walk, which bounds its positions the same way, yields nothing.
-    # The sizes that carry n leaves run from one vertex up to a largest,
-    # which unnumbered_classes relies on to stop.
+    # The walk's dynamic programme is exact: a shape carries a stable (or
+    # good) weighting with n leaves exactly when n reaches its least.
+    # Below it the walk, which bounds its positions the same way, yields
+    # nothing.  The sizes that carry n leaves run from one vertex up to a
+    # largest, which unnumbered_classes relies on to stop.
     for only_good in (False, True):
         for n in range(4, 23, 2):
             sizes = [nv for nv in range(1, 12)
-                     if min(_least_leaves(adj, only_good)
-                            for adj in _tree_shapes(nv)) <= n]
+                     if min(_shape_leasts(nv, only_good)) <= n]
             assert sizes == list(range(1, len(sizes) + 1)), (n, only_good)
         for nv in range(1, 11):
-            for adj in _tree_shapes(nv):
-                least = _least_leaves(adj, only_good)
+            for adj, least in zip(_tree_shapes(nv),
+                                  _shape_leasts(nv, only_good)):
                 for n in range(4, 23, 2):
                     found = next(reference_weight_assignments(adj, n,
                                                               only_good), None)
