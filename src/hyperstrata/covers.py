@@ -19,10 +19,12 @@ from dataclasses import dataclass
 from .errors import DisconnectedGraph, OddLeafTotal, OutOfRange
 from .graphs import (
     Graph,
+    _edge_pairs,
     _owner,
     _splice,
     canonical_form,
     genus,
+    is_stable,
 )
 from .trees import AnnotatedTree, unnumbered_classes
 
@@ -67,10 +69,7 @@ def _lift(t: AnnotatedTree, cherries: bool
     sigma: dict[int, int] = {}
     # Edges in order of their lower flag; this order numbers the cover's flags.
     f, owner = 1, _owner(g.vertices)
-    for f1 in sorted(g.sigma):
-        f2 = g.sigma[f1]
-        if f2 <= f1:
-            continue
+    for (f1, f2), odd in zip(_edge_pairs(g), t.parity):
         cu, cv = covers[owner[f1]], covers[owner[f2]]
         if not (cu and cv):
             # A cherry's two lifts, spliced: their far flags join.
@@ -82,7 +81,7 @@ def _lift(t: AnnotatedTree, cherries: bool
             continue
         # An even edge lifts twice: the lifts leave the first and the last
         # vertex above each end, the same vertex when only one lies above it.
-        for x, y in ((cu[0], cv[0]), (cu[-1], cv[-1]))[:2 - t.parity[f1]]:
+        for x, y in ((cu[0], cv[0]), (cu[-1], cv[-1]))[:2 - odd]:
             sigma[f], sigma[f + 1] = f + 1, f
             parts[x].append(f)
             parts[y].append(f + 1)
@@ -107,20 +106,24 @@ def pushforward(t: AnnotatedTree) -> Graph:
 def pushforward_trace(t: AnnotatedTree, image: Graph) -> list[str]:
     """The steps of ``pushforward(t)``, rebuilt from t and its image: how
     each tree vertex and each edge, in lower-flag order, lifts; how many
-    two-flag vertices stabilization spliced out, if any; and the image."""
+    rational vertices (each with one edge) stabilization removed, if any,
+    which over a stable tree are the two-flag ones over cherries; and the
+    image."""
     lines = [f"vertex {i}: rho=0, lifts to two rational vertices" if rho == 0
              else f"vertex {i}: rho={rho}, lifts to one vertex of genus "
              f"{(rho - 2) // 2}" for i, rho in enumerate(t.rho)]
     lifted = 0      # an odd edge lifts to one edge, an even edge to two
-    for f1, f2 in sorted(t.graph.sigma.items()):
-        if f1 < f2:
-            lifted += 2 - t.parity[f1]
-            kind = "odd, one edge" if t.parity[f1] == 1 else "even, two edges"
-            lines.append(f"edge {[f1, f2]}: {kind} over it")
-    spliced = lifted - image.edge_count
-    if spliced:
-        lines.append(f"stabilize: spliced out {spliced} two-flag "
+    for edge, odd in zip(_edge_pairs(t.graph), t.parity):
+        lifted += 2 - odd
+        kind = "odd, one edge" if odd else "even, two edges"
+        lines.append(f"edge {list(edge)}: {kind} over it")
+    removed = lifted - image.edge_count
+    if removed and is_stable(t.graph):
+        lines.append(f"stabilize: spliced out {removed} two-flag "
                      "rational vertices")
+    elif removed:
+        lines.append(f"stabilize: removed {removed} unstable rational "
+                     "vertices")
     lines.append(f"image: genus {genus(image)}, {len(image.vertices)} "
                  f"vertices, {image.edge_count} edges")
     return lines

@@ -8,21 +8,22 @@ smooth unmarked curve).  Values are immutable after construction and all
 operations are pure functions, so they are safe to share between workers.
 
 A graph holds only its stored form: the involution as a full int dict,
-leaves fixed, keyed in the order of the frozenset of its flags; the vertex
-parts as a tuple of sorted int tuples; the genus labels as an int tuple;
-and its sorted leaves.  The public constructor normalizes any input into
-that form.  The library's producers (tree building, the splice loop of
-``stabilize``) build it directly and hand it to ``_stored``, which skips
-only the normalization: both routes end in the same validation.  Graphs
-may share stored-form data, so nothing ever writes to a graph; derived
-data (flag set, edges, flag-to-vertex map, connectivity, adjacency) is
-built when asked for and never kept, as that costs memory on every graph.
-A part is a tuple, not a frozenset: the garbage collector stops tracking
-a tuple of ints at its first collection, so a large batch of graphs is
-not rescanned by every full collection.
+leaves fixed; the vertex parts as a tuple of sorted int tuples; the genus
+labels as an int tuple; and its sorted leaves.  The public constructor
+normalizes any input into that form.  The library's producers (tree
+building, the splice loop of ``stabilize``) build it directly and hand it
+to ``_stored``, which skips only the normalization: both routes end in the
+same validation.  Graphs may share stored-form data, so nothing ever
+writes to a graph; derived data (flag set, edges, flag-to-vertex map,
+connectivity, adjacency) is built when asked for and never kept, as that
+costs memory on every graph.  A part is a tuple, not a frozenset: the
+garbage collector stops tracking a tuple of ints at its first collection,
+so a large batch of graphs is not rescanned by every full collection.
 
-Flag identifiers are opaque integers; neither vertex order nor flag order
-carries meaning.  Graph identity is defined by ``canonical_form`` only.
+Flag identifiers are opaque integers; neither vertex order, flag order nor
+the involution's key order carries meaning.  A reader that walks the edges
+takes them in lower-flag order from ``_edge_pairs``.  Graph identity is
+defined by ``canonical_form`` only.
 """
 
 from __future__ import annotations
@@ -166,6 +167,12 @@ def _owner(parts: Iterable[Iterable[Flag]]) -> dict[Flag, int]:
     return {f: i for i, part in enumerate(parts) for f in part}
 
 
+def _edge_pairs(g: Graph) -> list[tuple[Flag, Flag]]:
+    """Each edge as (lower flag, upper flag), in lower-flag order; read off
+    the involution, so the graph's flag and edge sets are never built."""
+    return sorted([(f, p) for f, p in g.sigma.items() if f < p])
+
+
 def _vertex_adjacency(g: Graph, owner: Mapping[Flag, int] | None = None
                       ) -> list[list[int]]:
     """Vertex adjacency lists from one walk over the flags: an edge is
@@ -251,9 +258,10 @@ def stabilize(g: GraphLike) -> GraphLike:
 def _splice(sigma: dict[Flag, Flag], parts: list[list[Flag] | None],
             labels: list[int], total: int, leaves: Iterable[Flag]) -> Graph:
     """The splice loop of ``stabilize``, lowest unstable vertex first, over
-    the raw involution, parts and labels (consumed) of a connected graph of
-    genus ``total``.  Returns one validated Graph, checked to be stable and
-    to keep the genus (which also checks connectivity) and the leaves."""
+    the raw involution, parts and labels (consumed: the involution becomes
+    the image's) of a connected graph of genus ``total``.  Returns one
+    validated Graph, checked to be stable and to keep the genus (which also
+    checks connectivity) and the leaves."""
     leaves = set(leaves)
     if 2 * total - 2 + len(leaves) <= 0:
         raise Unstabilizable(f"type {(total, len(leaves))} has no stable model")
@@ -298,9 +306,7 @@ def _splice(sigma: dict[Flag, Flag], parts: list[list[Flag] | None],
         i += 1
 
     kept = [i for i, p in enumerate(parts) if p is not None]
-    # Keyed as the constructor keys: a frozenset built from the dict itself
-    # is presized, and may iterate in another order than one from its keys.
-    result = Graph._stored({f: sigma[f] for f in frozenset(sigma.keys())},
+    result = Graph._stored(sigma,
                            tuple([tuple(sorted(parts[i])) for i in kept]),
                            tuple([labels[i] for i in kept]))
     if not is_stable(result):
@@ -602,7 +608,7 @@ def leq(g1: GraphLike, g2: GraphLike) -> bool:
     if graph_type(g1) != graph_type(g2):
         raise TypeMismatch(f"{graph_type(g1)} vs {graph_type(g2)}")
     target = canonical_form(g2)
-    edges = sorted(tuple(sorted(e)) for e in _as_graph(g1).edges)
+    edges = _edge_pairs(_as_graph(g1))
     need = len(edges) - _as_graph(g2).edge_count
     if need < 0:
         return False

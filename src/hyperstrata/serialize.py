@@ -10,7 +10,7 @@ import json
 from fractions import Fraction
 
 from .errors import FormatError, NotLyndon, TooLarge, UnknownLetter
-from .graphs import Graph, NumberedGraph
+from .graphs import Graph, NumberedGraph, _edge_pairs
 from .lie import MAX_EXPR_LETTERS, GradedAlphabet, LieVector, basis_vector
 from .spectral import Certificate, SpectralTable
 from .trees import AnnotatedTree, annotate
@@ -20,12 +20,6 @@ FORMAT = 1
 
 def _sorted_vertex_order(g: Graph) -> list[int]:
     return sorted(range(len(g.vertices)), key=g.vertices.__getitem__)
-
-
-def _edge_pairs(g: Graph) -> list[tuple[int, int]]:
-    """Each edge as (lower flag, upper flag), sorted; read off the
-    involution, so the graph's flag and edge sets are never built."""
-    return sorted((f, p) for f, p in g.sigma.items() if f < p)
 
 
 def graph_to_json(g) -> dict:
@@ -86,10 +80,8 @@ def graph_from_json(payload: dict):
 
 def annotated_to_json(t: AnnotatedTree) -> dict:
     payload = graph_to_json(t.tree)
-    g = t.graph
-    order = _sorted_vertex_order(g)
-    payload["parity"] = {str(i): t.parity[f]
-                         for i, (f, _) in enumerate(_edge_pairs(g))}
+    order = _sorted_vertex_order(t.graph)
+    payload["parity"] = {str(i): x for i, x in enumerate(t.parity)}
     payload["rho"] = [t.rho[i] for i in order]
     payload["nu"] = [t.nu[i] for i in order]
     payload["internal"] = [t.internal[i] for i in order]

@@ -47,6 +47,7 @@ from .errors import (
 from .graphs import (
     Graph,
     NumberedGraph,
+    _edge_pairs,
     _form_bytes,
     _owner,
     _spanning_tree,
@@ -67,7 +68,7 @@ MAX_LEAVES = 12
 # bound; 22 leaves covers certificates and F1 tables up to genus 10.
 MAX_LEAVES_GOOD = 22
 # A star tree has 2g + 2 leaves, and `pushforward --tlg g,g` is linear in g:
-# 0.20 s at g = 4000, and 2.7 s, 272 MB max RSS and 20 MB of JSON at
+# 0.20 s at g = 4000, and 1.8 s, 249 MB max RSS and 20 MB of JSON at
 # g = 10^5 (one process each); g = 10^12 would run out of memory.  Both
 # comments time cold processes on a shared 2-CPU machine.
 MAX_GENUS_STAR = 10 ** 5
@@ -77,14 +78,14 @@ MAX_GENUS_STAR = 10 ** 5
 class AnnotatedTree:
     """A numbered genus-0 tree with cached parity and vertex counts.
 
-    parity maps every flag to 0 (even) or 1 (odd); both flags of an edge
-    share the edge's parity and every leaf is odd.  rho counts the odd flags
-    at each vertex, nu the non-leaf flags; a vertex is internal when it has
-    more than one edge.
+    parity holds one entry per edge, 0 (even) or 1 (odd), in the lower-flag
+    order of ``graphs._edge_pairs``.  rho counts the odd flags at each
+    vertex: its leaves, which are all odd, and its odd edges.  nu counts
+    the non-leaf flags; a vertex is internal when it has more than one edge.
     """
 
     tree: NumberedGraph
-    parity: dict
+    parity: tuple[int, ...]
     rho: tuple[int, ...]
     nu: tuple[int, ...]
     internal: tuple[bool, ...]
@@ -137,13 +138,14 @@ def annotate(t: NumberedGraph) -> AnnotatedTree:
 
     The parity of an edge is the parity of the number of leaves on either
     side of its removal, which is well defined only when the total number of
-    leaves is even.  Every vertex must have genus 0: the cover's genus rule
-    reads only the parities.
+    leaves is even.  rho starts from each vertex's leaf count, and each edge,
+    in lower-flag order, adds its parity at both ends.  Every vertex must
+    have genus 0: the cover's genus rule reads only the parities.
     """
     g = t.graph
     if any(g.genus_labels):
         raise NotATree("annotation requires genus 0 at every vertex")
-    sigma, owner = g.sigma, _owner(g.vertices)
+    owner = _owner(g.vertices)
     adj = _vertex_adjacency(g, owner)
     order, parent = _spanning_tree(adj)
     nv = len(g.vertices)
@@ -155,27 +157,21 @@ def annotate(t: NumberedGraph) -> AnnotatedTree:
 
     # A tree vertex's adjacency lists its edges; its other flags are leaves.
     nu = [len(a) for a in adj]
-    subtree = [len(part) - k for part, k in zip(g.vertices, nu)]
+    rho = [len(part) - k for part, k in zip(g.vertices, nu)]
+    subtree = list(rho)
     for v in reversed(order[1:]):
         subtree[parent[v]] += subtree[v]
 
     # An edge takes the parity of the leaf count below its child end.
-    parity: dict[int, int] = {}
-    rho = []
-    for u, part in enumerate(g.vertices):
-        odd = 0
-        for f in part:
-            p = sigma[f]
-            if p == f:
-                x = 1
-            else:
-                v = owner[p]
-                x = subtree[v if parent[v] == u else u] % 2
-            parity[f] = x
-            odd += x
-        rho.append(odd)
+    parity = []
+    for f, p in _edge_pairs(g):
+        u, v = owner[f], owner[p]
+        x = subtree[v if parent[v] == u else u] % 2
+        parity.append(x)
+        rho[u] += x
+        rho[v] += x
     internal = tuple(x > 1 for x in nu)
-    return AnnotatedTree(t, parity, tuple(rho), tuple(nu), internal)
+    return AnnotatedTree(t, tuple(parity), tuple(rho), tuple(nu), internal)
 
 
 def is_good(t: AnnotatedTree) -> bool:

@@ -134,6 +134,40 @@ def test_pushforward_trace_is_pinned(capsys, tmp_path):
         "4687ba7e1ef32c1aee392deb4a65bcc4c755510ceb2b854a6efed00d52676ad4")
 
 
+@pytest.mark.parametrize("parts, edges, trace", [
+    # a leafless one-flag vertex: its two rational lifts hang on one flag
+    ([[1, 2, 3, 4, 5, 6, 7], [8]], [[7, 8]], [
+        "vertex 0: rho=6, lifts to one vertex of genus 2",
+        "vertex 1: rho=0, lifts to two rational vertices",
+        "edge [7, 8]: even, two edges over it",
+        "stabilize: removed 2 unstable rational vertices",
+        "image: genus 2, 1 vertices, 0 edges"]),
+    # a leafless two-flag vertex between two odd edges
+    ([[1, 2, 3, 7], [8, 9], [4, 5, 6, 10]], [[7, 8], [9, 10]], [
+        "vertex 0: rho=4, lifts to one vertex of genus 1",
+        "vertex 1: rho=2, lifts to one vertex of genus 0",
+        "vertex 2: rho=4, lifts to one vertex of genus 1",
+        "edge [7, 8]: odd, one edge over it",
+        "edge [9, 10]: odd, one edge over it",
+        "stabilize: removed 1 unstable rational vertices",
+        "image: genus 2, 2 vertices, 1 edges"]),
+])
+def test_pushforward_trace_of_an_unstable_tree(capsys, tmp_path, parts,
+                                               edges, trace):
+    # Over a stable tree stabilization splices out only the two-flag
+    # vertices over cherries; over an unstable one the trace says how many
+    # rational vertices went, whatever their flags.
+    path = tmp_path / "tree.json"
+    path.write_text(json.dumps({
+        "format": 1, "flags": sorted(f for p in parts for f in p),
+        "involution": edges, "vertices": parts, "genus": [0] * len(parts),
+        "leaf_numbering": {str(k): k for k in range(1, 7)}}))
+    code, out, err = run_cli(capsys, "pushforward", "--tree", str(path))
+    assert code == 0
+    assert json.loads(out)["trace"] == trace
+    assert err.splitlines() == trace
+
+
 def test_pushforward_roundtrip_through_file(capsys, tmp_path):
     tree = build_T_lg(1, 2).tree
     path = tmp_path / "tree.json"

@@ -10,6 +10,7 @@ import pytest
 
 from hyperstrata.errors import (
     DisconnectedGraph,
+    HyperstrataError,
     InvalidGraph,
     TypeMismatch,
     UnknownEdge,
@@ -19,6 +20,7 @@ from hyperstrata.graphs import (
     Graph,
     GraphType,
     NumberedGraph,
+    _edge_pairs,
     automorphism_count,
     betti1,
     canonical_form,
@@ -30,8 +32,12 @@ from hyperstrata.graphs import (
     leq,
     stabilize,
 )
-from hyperstrata.covers import admissible_cover_graph, pushforward
-from hyperstrata.serialize import graph_to_json
+from hyperstrata.covers import (
+    admissible_cover_graph,
+    pushforward,
+    pushforward_trace,
+)
+from hyperstrata.serialize import annotated_to_json, graph_to_json
 from hyperstrata.trees import (
     annotate,
     build_T_lg,
@@ -700,10 +706,11 @@ def test_stabilize_searches_connectivity_once(monkeypatch):
 
 def _assert_normalized(g):
     # The public constructor, given a graph's own data, leaves it as it is:
-    # involution items in order, parts, labels, leaves and numbering.
+    # the involution as a mapping (its key order carries no meaning), parts,
+    # labels, leaves and numbering.
     graph = g.graph if isinstance(g, NumberedGraph) else g
     ref = Graph(graph.sigma, graph.sigma, graph.vertices, graph.genus_labels)
-    assert list(graph.sigma.items()) == list(ref.sigma.items())
+    assert graph.sigma == ref.sigma
     assert graph.vertices == ref.vertices
     assert graph.genus_labels == ref.genus_labels
     assert graph.leaves == ref.leaves
@@ -799,3 +806,60 @@ def test_stored_numbering_runs_every_check(numbering, message):
 def test_graph_validation_messages(flags, sigma, parts, message):
     with pytest.raises(InvalidGraph, match=message):
         Graph(flags, sigma, parts, [0])
+
+
+def _rekeyed(g, keys):
+    # the same graph through the stored-form entry, its involution keyed in
+    # the given order
+    graph = g.graph if isinstance(g, NumberedGraph) else g
+    copy = Graph._stored({f: graph.sigma[f] for f in keys}, graph.vertices,
+                         graph.genus_labels)
+    if isinstance(g, NumberedGraph):
+        return NumberedGraph._stored(copy, g.numbering)
+    return copy
+
+
+def _key_order_readings(g) -> list:
+    # every output a graph feeds: forms, orders with and without pinned
+    # leaves, JSON, a contraction, stabilization and, for a tree, its
+    # annotation, image and trace
+    graph = g.graph if isinstance(g, NumberedGraph) else g
+    half = [frozenset(e) for e in _edge_pairs(graph)[::2]]
+    out = [canonical_form(g), automorphism_count(g),
+           automorphism_count(g, graph.leaves[:2]), graph_to_json(g),
+           graph_to_json(contract_edges(g, half))]
+    try:
+        out.append(graph_to_json(stabilize(g)))
+    except HyperstrataError as e:
+        out.append((type(e), str(e)))
+    if isinstance(g, NumberedGraph):
+        a = annotate(g)
+        image = pushforward(a)
+        out += [annotated_to_json(a), graph_to_json(image),
+                pushforward_trace(a, image)]
+    return out
+
+
+def test_no_output_reads_the_involutions_key_order(numbered):
+    # The stored form promises no key order for the involution, so copies
+    # keyed in reverse and in a seeded shuffle give every output the
+    # original gives.
+    rng = random.Random(2026)
+    trees = numbered(6)
+    pool = trees + [pushforward(annotate(t)) for t in trees]
+    pool += [admissible_cover_graph(annotate(t)) for t in trees[::10]]
+    pool += [pushforward(annotate(_pendant_tree(k))) for k in range(2, 6)]
+    pool.append(Graph(range(1, 12), {1: 2, 2: 1, 5: 6, 6: 5, 9: 10, 10: 9},
+                      [{1, 2, 3}, {4, 5}, {6, 7, 8}, {9, 10, 11}],
+                      [1, 0, 0, 1]))
+    pool.append(_from_edges([0, 1, 0], [1, 0, 2],
+                            [(0, 0), (0, 1), (0, 1), (1, 2), (2, 2), (2, 2)]))
+    moved = 0
+    for g in pool:
+        keys = list((g.graph if isinstance(g, NumberedGraph) else g).sigma)
+        want = _key_order_readings(g)
+        for order in (keys[::-1], rng.sample(keys, len(keys))):
+            copy = _rekeyed(g, order)
+            moved += order != keys
+            assert _key_order_readings(copy) == want
+    assert moved > len(pool)

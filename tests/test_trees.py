@@ -15,6 +15,7 @@ from hyperstrata.errors import NotATree, OddLeafTotal, OutOfRange, TooLarge
 from hyperstrata.graphs import (
     Graph,
     NumberedGraph,
+    _edge_pairs,
     _form_bytes,
     _owner,
     _tree_search,
@@ -318,10 +319,9 @@ def test_annotate_one_edge_parities(numbered):
     seen = set()
     for t in numbered(6, 1):
         a = annotate(t)
-        (e,) = t.graph.edges
-        f = sorted(e)[0]
+        (x,) = a.parity
         profile = tuple(sorted(len(p) for p in t.graph.vertices))
-        seen.add((profile, a.parity[f]))
+        seen.add((profile, x))
         if profile == (4, 4):     # 3|3 split: odd edge, rho = 4 on each side
             assert a.rho == (4, 4)
     assert seen == {((3, 5), 0), ((4, 4), 1)}
@@ -356,15 +356,52 @@ def test_parity_and_rho_invariants(numbered, orbits):
              [c.annotated() for c in orbits(10)]
     for a in pools:
         g = a.graph
-        n_leaves = len(g.leaves)
-        odd_edges = sum(1 for e in g.edges if a.parity[sorted(e)[0]] == 1)
-        assert sum(a.rho) == n_leaves + 2 * odd_edges
+        assert len(a.parity) == g.edge_count
+        assert sum(a.rho) == len(g.leaves) + 2 * sum(a.parity)
         assert all(r % 2 == 0 for r in a.rho)
-        for e in g.edges:
-            f1, f2 = sorted(e)
-            assert a.parity[f1] == a.parity[f2]
-        for f in g.leaves:
-            assert a.parity[f] == 1
+
+
+def _far_side_leaves(g: Graph, lower: int, upper: int) -> int:
+    """Leaves reached from the vertex holding ``upper`` by a breadth-first
+    search that never crosses the edge (lower, upper)."""
+    where = {f: v for v, part in enumerate(g.vertices) for f in part}
+    start = where[upper]
+    reached, queue = {start}, [start]
+    for v in queue:
+        for f in g.vertices[v]:
+            p = g.sigma[f]
+            if p != f and f not in (lower, upper) and where[p] not in reached:
+                reached.add(where[p])
+                queue.append(where[p])
+    return sum(1 for v in reached for f in g.vertices[v] if g.sigma[f] == f)
+
+
+def test_parity_is_the_far_side_leaf_count_of_each_edge(numbered, orbits):
+    # Oracle: parity[i] is the parity of the leaves cut off by the i-th edge
+    # in lower-flag order, and rho adds a vertex's odd edges to its leaves.
+    pool = [annotate(t) for t in numbered(4) + numbered(6)]
+    pool += [c.annotated() for c in orbits(8) + orbits(10)]
+    pool += [build_T_lg(l, g) for g in (2, 3, 5, 8) for l in range(g + 1)]
+    # unstable trees, as a --tree file may give: a leafless one-flag vertex
+    # on an even edge, and a leafless two-flag vertex between odd edges
+    for parts, sigma in [([{1, 2, 3, 4, 5, 6, 7}, {8}], {7: 8, 8: 7}),
+                         ([{1, 2, 3, 7}, {8, 9}, {4, 5, 6, 10}],
+                          {7: 8, 8: 7, 9: 10, 10: 9})]:
+        g = Graph(set().union(*parts), sigma, parts, [0] * len(parts))
+        pool.append(annotate(NumberedGraph(g, {k: k for k in range(1, 7)})))
+    mixed = 0
+    for a in pool:
+        g = a.graph
+        edges = _edge_pairs(g)
+        assert len(a.parity) == len(edges)
+        rho = [sum(1 for f in part if g.sigma[f] == f) for part in g.vertices]
+        for (lower, upper), x in zip(edges, a.parity):
+            assert x == _far_side_leaves(g, lower, upper) % 2
+            rho[g.vertex_of(lower)] += x
+            rho[g.vertex_of(upper)] += x
+        assert tuple(rho) == a.rho
+        mixed += len(set(a.parity)) == 2
+    assert mixed > 100
 
 
 def test_is_good_on_star_trees():
