@@ -139,7 +139,7 @@ def rational_component_count(t: AnnotatedTree) -> int:
     if len(t.graph.leaves) % 2:
         raise OddLeafTotal("rational components need an even leaf count")
     zero = sum(1 for r in t.rho if r == 0)
-    two = sum(1 for r, inner in zip(t.rho, t.internal) if inner and r == 2)
+    two = sum(1 for r, k in zip(t.rho, t.nu) if k > 1 and r == 2)
     return 2 * zero + two
 
 

@@ -8,15 +8,25 @@ odd-degree Lyndon words w.  Dimensions are a closed-form count by Möbius
 inversion, checked against the enumerations `lyndon_words` and the oracle.
 
 Arbitrary bracket expressions are normalized into this basis by the
-classical bottom-up rewriting: a product [B(m), B(n)] of basis words with
-m < n either is the basis element B(mn) outright (when n is not larger than
-the standard right factor of m) or is expanded through the Jacobi identity
-on the standard factorization of m.  The engine is validated elsewhere
-against an independent oracle: the span of all full bracketings inside the
-free associative superalgebra, row-reduced with exact integer arithmetic.
-The oracle builds that span by bilinearity, from the commutators of the
-spans of smaller multidegrees; it is the same span as that of every
-bracketing expanded one by one, which the tests keep as the reference.
+classical bottom-up rewriting, one memoized bracket of two basis elements
+under four rules.  Write <w> for the square [B(w), B(w)], which is even.
+
+- Antisymmetry puts a word before a square and the smaller of two words
+  first.
+- The Jacobi step on the standard factorization: for words m < n,
+  [B(m), B(n)] is B(mn) outright when m is a letter or n is not larger
+  than the standard right factor v of m = uv, and otherwise
+  [B(u), [B(v), B(n)]] - (-1)^{|u||v|} [B(v), [B(u), B(n)]].
+- A word and a square: [B(w), <u>] = -2 [B(u), [B(u), B(w)]], which is 0
+  for w = u.
+- Two squares: [<w1>, <w2>] = 2 [B(w1), [B(w1), <w2>]].
+
+The engine is validated elsewhere against an independent oracle: the span
+of all full bracketings inside the free associative superalgebra,
+row-reduced with exact integer arithmetic.  The oracle builds that span by
+bilinearity, from the commutators of the spans of smaller multidegrees; it
+is the same span as that of every bracketing expanded one by one, which the
+tests keep as the reference.
 
 Words are tuples of alphabet indices internally; the public surface speaks
 strings of single-character letters.  Bracket expressions are nested pairs,
@@ -81,19 +91,20 @@ class GradedAlphabet:
     def __len__(self) -> int:
         return len(self.letters)
 
-    def index(self, letter: str) -> int:
+    def index(self, letter) -> int:
+        """The index of a letter, given as its character or as an int in
+        0..len-1; anything else, a bool included, raises UnknownLetter."""
+        if type(letter) is int and 0 <= letter < len(self.letters):
+            return letter
         try:
             return self._index[letter]
-        except KeyError:
+        except (KeyError, TypeError):
             raise UnknownLetter(f"letter {letter!r} is not in the alphabet "
                                 f"{''.join(self.letters)!r}") from None
 
     def key(self, word) -> tuple[int, ...]:
         """Convert a word (string or letter sequence) to an index tuple."""
-        if isinstance(word, str):
-            return tuple(self.index(c) for c in word)
-        return tuple(self.index(c) if isinstance(c, str) else int(c)
-                     for c in word)
+        return tuple(map(self.index, word))
 
     def text(self, word_key: tuple[int, ...]) -> str:
         return "".join(self.letters[i] for i in word_key)
@@ -384,71 +395,61 @@ _active_squares: set = set()
 
 
 @lru_cache(maxsize=None)
-def _bracket_words(degrees: tuple[int, ...], m: tuple[int, ...],
-                   n: tuple[int, ...]) -> tuple:
-    """[B(m), B(n)] in the Lyndon basis, as a tuple of (key, int) pairs."""
-    if m == n:
-        return ((("sq", m), 1),) if _wdeg(degrees, m) else ()
-    if m > n:
-        # -(-1)^{|m||n|}
-        sign = 1 if _wdeg(degrees, m) and _wdeg(degrees, n) else -1
-        return tuple((k, sign * c) for k, c in _bracket_words(degrees, n, m))
-    # m < n: mn is Lyndon.  (m, n) is its standard factorization exactly
-    # when m is a letter or the standard right factor of m is >= n.
-    if len(m) == 1:
-        return ((("w", m + n), 1),)
-    u, v = _std_split(m)
-    if v >= n:
-        return ((("w", m + n), 1),)
-    # [[u,v],n] = [u,[v,n]] - (-1)^{|u||v|} [v,[u,n]]
+def _bracket_words(degrees: tuple[int, ...], k1: _Key, k2: _Key) -> tuple:
+    """[k1, k2] for two basis elements, words or squares, in the Lyndon
+    basis, as a sorted tuple of (key, int) pairs with no zero, by the four
+    rules of the module docstring: antisymmetry, then the two square
+    identities, then B(mn) or the Jacobi step for words m < n."""
+    (kind1, m), (kind2, n) = k1, k2
+    if k1 == k2:
+        return ((("sq", m), 1),) if kind1 == "w" and _wdeg(degrees, m) else ()
+    if kind1 == "sq" and kind2 == "w" or kind1 == kind2 == "w" and m > n:
+        # antisymmetry; squares are even
+        sign = (1 if kind1 == "w" and _wdeg(degrees, m) and _wdeg(degrees, n)
+                else -1)
+        return tuple((k, sign * c) for k, c in _bracket_words(degrees, k2, k1))
     acc: dict[_Key, int] = {}
-    for key, c in _bracket_words(degrees, v, n):
-        for k2, c2 in _bracket_word_key(degrees, u, key):
-            acc[k2] = acc.get(k2, 0) + c * c2
-    outer = -1 if _wdeg(degrees, u) and _wdeg(degrees, v) else 1
-    for key, c in _bracket_words(degrees, u, n):
-        for k2, c2 in _bracket_word_key(degrees, v, key):
-            acc[k2] = acc.get(k2, 0) - outer * c * c2
+    if kind1 == "sq":
+        # two squares
+        wm = ("w", m)
+        _accumulate(acc, degrees, 2, wm, _bracket_words(degrees, wm, k2))
+    elif kind2 == "sq":
+        # a word and a square, guarded against a cycle
+        if m == n:
+            return ()
+        token = (degrees, k1, k2)
+        if token in _active_squares:
+            raise RuntimeError("cyclic square reduction; rewriting order broken")
+        _active_squares.add(token)
+        try:
+            wn = ("w", n)
+            _accumulate(acc, degrees, -2, wn, _bracket_words(degrees, wn, k1))
+        finally:
+            _active_squares.discard(token)
+    else:
+        # words m < n: mn is Lyndon, and (m, n) is its standard factorization
+        # exactly when m is a letter or the standard right factor of m is >= n
+        if len(m) == 1:
+            return ((("w", m + n), 1),)
+        u, v = _std_split(m)
+        if v >= n:
+            return ((("w", m + n), 1),)
+        # the Jacobi step
+        wu, wv = ("w", u), ("w", v)
+        sign = 1 if _wdeg(degrees, u) and _wdeg(degrees, v) else -1
+        _accumulate(acc, degrees, 1, wu, _bracket_words(degrees, wv, k2))
+        _accumulate(acc, degrees, sign, wv, _bracket_words(degrees, wu, k2))
     return tuple(sorted((k, c) for k, c in acc.items() if c))
 
 
-def _bracket_word_key(degrees: tuple[int, ...], w: tuple[int, ...],
-                      key: _Key) -> tuple:
-    """[B(w), key] for a Lyndon word w and a basis key."""
-    kind, u = key
-    if kind == "w":
-        return _bracket_words(degrees, w, u)
-    if u == w:
-        return ()  # [x, [x, x]] = 0 for odd x
-    # [B(w), <u>] = -[<u>, B(w)] = -2 [B(u), [B(u), B(w)]]
-    token = (degrees, w, key)
-    if token in _active_squares:
-        raise RuntimeError("cyclic square reduction; rewriting order broken")
-    _active_squares.add(token)
-    try:
-        acc: dict[_Key, int] = {}
-        for k1, c1 in _bracket_words(degrees, u, w):
-            for k2, c2 in _bracket_word_key(degrees, u, k1):
-                acc[k2] = acc.get(k2, 0) - 2 * c1 * c2
-        return tuple(sorted((k, c) for k, c in acc.items() if c))
-    finally:
-        _active_squares.discard(token)
-
-
-def _bracket_keys(degrees: tuple[int, ...], k1: _Key, k2: _Key) -> tuple:
-    kind1, w1 = k1
-    kind2, w2 = k2
-    if kind1 == "w":
-        return _bracket_word_key(degrees, w1, k2)
-    if kind2 == "w":
-        # [<w1>, x] = -[x, <w1>] (squares are even)
-        return tuple((k, -c) for k, c in _bracket_word_key(degrees, w2, k1))
-    # [<w1>, <w2>] = 2 [B(w1), [B(w1), <w2>]]
-    acc: dict[_Key, int] = {}
-    for k, c in _bracket_word_key(degrees, w1, k2):
-        for k3, c3 in _bracket_word_key(degrees, w1, k):
-            acc[k3] = acc.get(k3, 0) + 2 * c * c3
-    return tuple(sorted((k, c) for k, c in acc.items() if c))
+def _accumulate(acc: dict, degrees: tuple[int, ...], scale: int, k1: _Key,
+                terms: Iterable) -> None:
+    """acc += scale * c * [k1, k] over the (k, c) pairs of terms; zero
+    coefficients stay in acc."""
+    for k, c in terms:
+        c *= scale
+        for key, c2 in _bracket_words(degrees, k1, k):
+            acc[key] = acc.get(key, 0) + c * c2
 
 
 def _bracket_terms(degrees: tuple[int, ...], x: Mapping, y: Mapping) -> dict:
@@ -456,9 +457,7 @@ def _bracket_terms(degrees: tuple[int, ...], x: Mapping, y: Mapping) -> dict:
     coefficient; zero coefficients are dropped."""
     acc: dict = {}
     for k1, c1 in x.items():
-        for k2, c2 in y.items():
-            for key, c in _bracket_keys(degrees, k1, k2):
-                acc[key] = acc.get(key, 0) + c1 * c2 * c
+        _accumulate(acc, degrees, c1, k1, y.items())
     return {k: c for k, c in acc.items() if c}
 
 
@@ -467,14 +466,12 @@ def _bracket_terms(degrees: tuple[int, ...], x: Mapping, y: Mapping) -> dict:
 # --------------------------------------------------------------------------
 
 def _to_internal(expr: BracketExpr, alphabet: GradedAlphabet):
-    if isinstance(expr, str):
-        if len(expr) != 1:
-            raise ValueError(f"expression leaves must be single letters: {expr!r}")
-        return alphabet.index(expr)
     if isinstance(expr, tuple) and len(expr) == 2:
         return (_to_internal(expr[0], alphabet), _to_internal(expr[1], alphabet))
-    if isinstance(expr, int):
-        return expr
+    if isinstance(expr, str) and len(expr) != 1:
+        raise ValueError(f"expression leaves must be single letters: {expr!r}")
+    if isinstance(expr, (str, int)):
+        return alphabet.index(expr)
     raise ValueError(f"not a bracket expression: {expr!r}")
 
 

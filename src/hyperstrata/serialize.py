@@ -84,7 +84,7 @@ def annotated_to_json(t: AnnotatedTree) -> dict:
     payload["parity"] = {str(i): x for i, x in enumerate(t.parity)}
     payload["rho"] = [t.rho[i] for i in order]
     payload["nu"] = [t.nu[i] for i in order]
-    payload["internal"] = [t.internal[i] for i in order]
+    payload["internal"] = [t.nu[i] > 1 for i in order]
     return payload
 
 

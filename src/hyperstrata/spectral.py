@@ -43,6 +43,7 @@ from .errors import FailedCertificate, LevelZero, OutOfRange, TooLarge
 from .lie import (
     GradedAlphabet,
     LieVector,
+    _accumulate,
     _bracket_terms,
     _fraction_terms,
     _integer_terms,
@@ -138,9 +139,7 @@ def d1(x: VSpaceElement) -> VSpaceElement:
             u, v = _std_split(w)
             sign = -1 if len(u) % 2 else 1
             terms = _bracket_terms(degrees, derive(u), {("w", v): 1})
-            for key, c in _bracket_terms(degrees, {("w", u): sign},
-                                         derive(v)).items():
-                terms[key] = terms.get(key, 0) + c
+            _accumulate(terms, degrees, sign, ("w", u), derive(v).items())
             memo[w] = {k: c for k, c in terms.items() if c}
         return memo[w]
 

@@ -88,7 +88,10 @@ class AnnotatedTree:
     parity: tuple[int, ...]
     rho: tuple[int, ...]
     nu: tuple[int, ...]
-    internal: tuple[bool, ...]
+
+    @property
+    def internal(self) -> tuple[bool, ...]:
+        return tuple(k > 1 for k in self.nu)
 
     @property
     def graph(self) -> Graph:
@@ -134,7 +137,7 @@ class StratumClass:
 
 
 def annotate(t: NumberedGraph) -> AnnotatedTree:
-    """Attach edge parities and the rho/nu/internal counts to a tree.
+    """Attach edge parities and the rho/nu counts to a tree.
 
     The parity of an edge is the parity of the number of leaves on either
     side of its removal, which is well defined only when the total number of
@@ -170,13 +173,12 @@ def annotate(t: NumberedGraph) -> AnnotatedTree:
         parity.append(x)
         rho[u] += x
         rho[v] += x
-    internal = tuple(x > 1 for x in nu)
-    return AnnotatedTree(t, tuple(parity), tuple(rho), tuple(nu), internal)
+    return AnnotatedTree(t, tuple(parity), tuple(rho), tuple(nu))
 
 
 def is_good(t: AnnotatedTree) -> bool:
     """True iff every internal vertex has at least four odd flags."""
-    return all(r >= 4 for r, inner in zip(t.rho, t.internal) if inner)
+    return all(r >= 4 for r, k in zip(t.rho, t.nu) if k > 1)
 
 
 def stratum_dimension(t) -> int:

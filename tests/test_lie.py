@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hyperstrata import lie
-from hyperstrata.errors import MixedMultidegree, NotLyndon, TooLarge
+from hyperstrata.errors import (MixedMultidegree, NotLyndon, TooLarge,
+                                UnknownLetter)
 from hyperstrata.lie import (
     MAX_EXPR_LETTERS,
     MAX_ORACLE_TOTAL,
@@ -27,6 +28,7 @@ from hyperstrata.lie import (
 )
 
 AB = GradedAlphabet(("a", "b"), {"a": 1, "b": 0})
+AB_ODD = GradedAlphabet(("a", "b"), {"a": 1, "b": 1})
 ODD3 = GradedAlphabet(("a", "b", "c"), {"a": 1, "b": 1, "c": 1})
 MIXED = GradedAlphabet(("a", "b", "c"), {"a": 1, "b": 0, "c": 1})
 
@@ -237,6 +239,61 @@ def test_bracketing_and_expansion_refuse_a_long_word_before_recursing():
     assert associative_expansion(basis_vector(half, AB, square=True), AB)
     with pytest.raises(TooLarge, match="130 letters"):
         associative_expansion(basis_vector(half + "b", AB, square=True), AB)
+
+
+def test_integer_letters_must_index_the_alphabet():
+    # An int letter is an index in 0..len-1; a bool is not a letter.
+    assert basis_vector([0, 1], AB) == basis_vector("ab", AB)
+    assert normalize((0, "b"), AB) == basis_vector("ab", AB)
+    for word in ([-2, -1], [0, -1], [0, 7], [True, 1], [0, False]):
+        for call in (AB.key, lambda w: basis_vector(w, AB),
+                     lambda w: is_lyndon(w, AB),
+                     lambda w: normalize(tuple(w), AB),
+                     lambda w: associative_expansion(tuple(w), AB)):
+            with pytest.raises(UnknownLetter):
+                call(word)
+
+
+def _basis_elements(alphabet: GradedAlphabet, most: int) -> list:
+    """(letters, degree, vector) for every word and square of at most most
+    letters; squares are even."""
+    out = []
+    for md in itertools.product(range(most + 1), repeat=len(alphabet)):
+        if 1 <= sum(md) <= most:
+            degree = sum(c * d for c, d in zip(md, alphabet.degrees)) % 2
+            for w in lyndon_words(alphabet, md):
+                out.append((len(w), degree, basis_vector(w, alphabet)))
+                if degree and 2 * len(w) <= most:
+                    out.append((2 * len(w), 0,
+                                basis_vector(w, alphabet, square=True)))
+    return out
+
+
+def _super_commutator(x: dict, y: dict, odd: bool) -> dict:
+    """xy - (-1)^{|x||y|} yx for words keyed by strings; odd when both are."""
+    out: dict = {}
+    for u, c in x.items():
+        for v, d in y.items():
+            out[u + v] = out.get(u + v, 0) + c * d
+            out[v + u] = out.get(v + u, 0) + (c * d if odd else -c * d)
+    return {w: c for w, c in out.items() if c}
+
+
+def test_every_basis_pair_brackets_as_in_the_envelope():
+    # Words and squares, both orders, at most `most` letters between them:
+    # the rewriting must agree with the super-commutator of the expansions.
+    pairs = 0
+    for alphabet, most in ((AB_ODD, 8), (AB, 8), (MIXED, 6)):
+        elements = [(n, d, x, associative_expansion(x, alphabet))
+                    for n, d, x in _basis_elements(alphabet, most - 1)]
+        for (n, dx, x, ex), (m, dy, y, ey) in itertools.product(elements,
+                                                                repeat=2):
+            if n + m > most:
+                continue
+            assert associative_expansion(bracket(x, y), alphabet) == \
+                _super_commutator(ex, ey, dx and dy), (x, y)
+            pairs += 1
+    assert pairs == 1554
 
 
 def test_direct_products_compute_no_parity(monkeypatch):

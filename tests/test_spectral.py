@@ -8,8 +8,8 @@ import pytest
 
 from hyperstrata.errors import LevelZero, OutOfRange, TooLarge
 from hyperstrata.graphs import automorphism_count
-from hyperstrata.lie import (LieVector, basis_vector, lyndon_words,
-                             normalize, standard_bracketing)
+from hyperstrata.lie import (LieVector, associative_expansion, basis_vector,
+                             lyndon_words, normalize, standard_bracketing)
 from hyperstrata.serialize import table_to_csv
 from hyperstrata.spectral import (
     AB,
@@ -92,6 +92,30 @@ def test_d1_matches_the_substitution_definition():
                 assert got.terms == expected.terms, (g, l, w)
                 words += 1
     assert words == 372
+
+
+def test_d1_matches_the_associative_route():
+    # No Lyndon rewriting on this side: in the all-odd envelope omega(g) is
+    # [...[a, b], ..., b], and D sends the b at 0-indexed position p of a
+    # word to -2aa with sign (-1)^p.
+    for g in (*range(2, 19), 20, 24):
+        top = {"a": 1}
+        for k in range(1, g + 1):
+            sign = 1 if k % 2 else -1     # -(-1)^{|x||b|}, x has k letters
+            nxt: dict = {}
+            for w, c in top.items():
+                nxt[w + "b"] = nxt.get(w + "b", 0) + c
+                nxt["b" + w] = nxt.get("b" + w, 0) + sign * c
+            top = {w: c for w, c in nxt.items() if c}
+        expected: dict = {}
+        for w, c in top.items():
+            for p, x in enumerate(w):
+                if x == "b":
+                    v = w[:p] + "aa" + w[p + 1:]
+                    expected[v] = expected.get(v, 0) - 2 * (-1) ** p * c
+        image = LieVector(AB_ODD, d1(omega(g)).vector.terms)
+        assert associative_expansion(image, AB_ODD) == \
+            {w: c for w, c in expected.items() if c}, g
 
 
 def test_d1_takes_rational_coefficients():
