@@ -273,11 +273,18 @@ def _multiset_permutations(counts: list[int]) -> Iterable[tuple[int, ...]]:
 
 
 def _as_counts(alphabet: GradedAlphabet, multidegree) -> list[int]:
+    """The letter counts of a multidegree, given as a sequence or as a
+    mapping from letters; each count must be an int, not a bool."""
     if isinstance(multidegree, Mapping):
-        counts = [int(multidegree.get(x, 0)) for x in alphabet.letters]
+        for x in multidegree:
+            if x not in alphabet.letters:
+                raise UnknownLetter(f"letter {x!r} is not in the alphabet "
+                                    f"{''.join(alphabet.letters)!r}")
+        counts = [multidegree.get(x, 0) for x in alphabet.letters]
     else:
-        counts = [int(c) for c in multidegree]
-    if len(counts) != len(alphabet) or min(counts, default=0) < 0:
+        counts = list(multidegree)
+    if len(counts) != len(alphabet) or any(
+            type(c) is not int or c < 0 for c in counts):
         raise OutOfRange(f"multidegree {tuple(counts)} needs one nonnegative "
                          f"count per letter of the {len(alphabet)}-letter "
                          "alphabet")

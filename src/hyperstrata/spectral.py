@@ -26,11 +26,16 @@ and no good tree has g edges, so nothing maps onto the receiving cell.
 Together these exhibit a nonzero second-page class in bidegree
 (-g+1, 2g-1).
 
-Dimension tables for the full and good-tree first pages, and the counting
-polynomial of the compact space, are orbit-weighted sums over unnumbered
-stratum classes of one product over the vertex sizes of each class: the
-compactly supported cohomology of the open strata for the tables, their
-point counts for the polynomial.
+Dimension tables for the full and good-tree first pages are orbit-weighted
+sums over unnumbered stratum classes of one product over the vertex sizes
+of each class: the compactly supported cohomology of the open strata.  A
+stratum with k edges of the m-pointed space has dimension d = m - 3 - k and
+puts its H^j_c in cell (p, q) = (-k, j + k).  Its open factors M_{0,n} have
+Tate-type cohomology, pure of weight 2i in degree i (Getzler 1995), so its
+point count is sum_j (-1)^j dim H^j_c q^(j-d).  Hence cell (p, q) carries
+weight q - m + 3 and sign (-1)^(p+q), and the counting polynomial of the
+compact space is the first page folded along these: its coefficient of
+q^w is the sum of (-1)^(p+q) dim E1^{p,q} over the cells of weight w.
 """
 
 from __future__ import annotations
@@ -324,23 +329,18 @@ class SpectralTable:
         return sorted((p, q, c.dimension) for (p, q), c in self.cells.items())
 
 
-def _class_polys(classes: list[StratumClass], factor):
-    """Each class with the product of factor(k) over its vertices, k the
-    number of flags at the vertex, computed once per vertex profile."""
+def _table_from_classes(kind: str, parameter: int,
+                        classes: list[StratumClass]) -> SpectralTable:
+    cells: dict[tuple[int, int], dict] = {}
+    # One product of _hc_poly(k) over the vertices, k the number of flags
+    # at the vertex, per vertex profile.
     products: dict[tuple[int, ...], list[int]] = {}
     for cls in classes:
         profile = cls.profile()
         if profile not in products:
-            products[profile] = reduce(_poly_mul, map(factor, profile), [1])
-        yield cls, products[profile]
-
-
-def _table_from_classes(kind: str, parameter: int,
-                        classes: list[StratumClass]) -> SpectralTable:
-    cells: dict[tuple[int, int], dict] = {}
-    for cls, poly in _class_polys(classes, _hc_poly):
+            products[profile] = reduce(_poly_mul, map(_hc_poly, profile), [1])
         k = cls.edge_count
-        for j, coeff in enumerate(poly):
+        for j, coeff in enumerate(products[profile]):
             if not coeff:
                 continue
             p, q = -k, j + k
@@ -386,34 +386,23 @@ def f1_table(g: int) -> SpectralTable:
 
 @dataclass(frozen=True)
 class EPolyReport:
-    """Sum over all numbered strata, taken orbit-weighted over unnumbered
-    classes, of the product of per-vertex counting polynomials
-    prod_{j=2}^{k-2} (q - j); for the compact space this must be a
-    palindromic polynomial with nonnegative coefficients and constant
-    term 1."""
+    """The counting polynomial of the compact m-pointed space, folded from
+    the first page as the module docstring states; it must be palindromic
+    with nonnegative coefficients and constant term 1."""
 
     m: int
     coefficients: tuple[int, ...]
     ok: bool
 
 
-def _epoly(k: int) -> list[int]:
-    poly = [1]
-    for j in range(2, k - 1):
-        poly = _poly_mul(poly, [-j, 1])
-    return poly
-
-
 def stratification_epoly_check(m: int) -> EPolyReport:
-    """Assemble the counting polynomial of the compact space from its open
-    strata, orbit-weighted over unnumbered classes, and check positivity,
-    palindromy, and constant term 1."""
-    if not 4 <= m <= MAX_LEAVES:
-        raise OutOfRange(f"supported range is 4 <= m <= {MAX_LEAVES}")
+    """Fold e1_table(m) into the counting polynomial of the compact space,
+    with the signs and weights of the module docstring, and check
+    positivity, palindromy, and constant term 1."""
+    table = e1_table(m)
     total = [0] * (m - 2)
-    for cls, poly in _class_polys(unnumbered_classes(m), _epoly):
-        for i, c in enumerate(poly):
-            total[i] += cls.orbit_size * c
+    for (p, q), cell in table.cells.items():
+        total[q - m + 3] += (-1) ** (p + q) * cell.dimension
     while len(total) > 1 and total[-1] == 0:
         total.pop()
     coeffs = tuple(total)

@@ -1,5 +1,7 @@
 """The check battery can fail: a fault planted in one name that ``checks``
-imports turns its audit's result to not ok at the quick sizes."""
+imports turns its audit's result to not ok at the quick sizes, and so does
+a fault planted in the first page that the counting polynomial is read
+from."""
 
 from __future__ import annotations
 
@@ -7,7 +9,7 @@ import dataclasses
 
 import pytest
 
-from hyperstrata import checks
+from hyperstrata import checks, spectral
 from hyperstrata.errors import FailedCertificate
 
 
@@ -48,4 +50,22 @@ def test_each_audit_fails_under_its_planted_fault(monkeypatch, audit, name,
     monkeypatch.setattr(checks, name, fault(getattr(checks, name)))
     _, fn, quick, _ = next(e for e in checks.BATTERY if e[0] == audit)
     ok, detail = fn(*(quick if quick is not None else (2,)))
+    assert not ok, detail
+
+
+def test_a_planted_page_fault_fails_the_epoly_audit(monkeypatch):
+    # The counting polynomial is folded from the first page, so one wrong
+    # compactly supported Betti number of a vertex factor fails the audit.
+    hc_poly = spectral._hc_poly
+
+    def planted(k):
+        out = hc_poly(k)
+        if k == 4:
+            out[-1] += 1
+        return out
+
+    monkeypatch.setattr(spectral, "_hc_poly", planted)
+    _, fn, quick, _ = next(e for e in checks.BATTERY
+                           if e[0] == "stratification-epoly")
+    ok, detail = fn(*quick)
     assert not ok, detail

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hyperstrata import lie
-from hyperstrata.errors import (MixedMultidegree, NotLyndon, TooLarge,
-                                UnknownLetter)
+from hyperstrata.errors import (MixedMultidegree, NotLyndon, OutOfRange,
+                                TooLarge, UnknownLetter)
 from hyperstrata.lie import (
     MAX_EXPR_LETTERS,
     MAX_ORACLE_TOTAL,
@@ -252,6 +252,24 @@ def test_integer_letters_must_index_the_alphabet():
                      lambda w: associative_expansion(tuple(w), AB)):
             with pytest.raises(UnknownLetter):
                 call(word)
+
+
+def test_multidegree_counts_must_be_ints_over_the_letters():
+    # A count is an int, not a bool, a float or a string; a mapping names
+    # letters of the alphabet only.
+    assert lyndon_words(AB, {"b": 2, "a": 1}) == lyndon_words(AB, (1, 2))
+    assert dimension(AB, {"b": 2}) == dimension(AB, [0, 2]) == 0
+    assert oracle_component(AB, {"a": 1, "b": 2}).dimension == 1
+    calls = (dimension, lyndon_words, oracle_component)
+    for md in ((1.5, 2), (1.9, 2), (True, 2), ("1", "2"), (1, -1),
+               {"a": 1.0, "b": 2}):
+        for f in calls:
+            with pytest.raises(OutOfRange):
+                f(AB, md)
+    for md in ({"a": 1, "z": 5, "b": 2}, {0: 1, "b": 2}):
+        for f in calls:
+            with pytest.raises(UnknownLetter):
+                f(AB, md)
 
 
 def _basis_elements(alphabet: GradedAlphabet, most: int) -> list:

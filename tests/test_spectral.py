@@ -2,7 +2,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import count
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -17,6 +17,7 @@ from hyperstrata.spectral import (
     MAX_D1_GENUS,
     Certificate,
     VSpaceElement,
+    _poly_mul,
     _table_from_classes,
     betti_m0n,
     certify_nonvanishing,
@@ -229,30 +230,46 @@ def test_e1_weight_bound_and_corner():
         e1_table(3)
 
 
+def _keel(m: int) -> tuple[int, ...]:
+    """The Betti numbers b_0, b_2, ... of the compact m-pointed space, as the
+    coefficients of Keel's polynomial (Trans. AMS 330, 1992): P_3 = 1,
+    P_{n+1} = (1 + q) P_n + (q/2) sum_{j=2}^{n-2} C(n, j) P_{j+1} P_{n-j+1}."""
+    polys = {3: [1]}
+    for n in range(3, m):
+        pairs = [0] * (n - 3)
+        for j in range(2, n - 1):
+            for i, c in enumerate(_poly_mul(polys[j + 1], polys[n - j + 1])):
+                pairs[i] += comb(n, j) * c
+        nxt = _poly_mul([1, 1], polys[n])
+        for i, c in enumerate(pairs):
+            nxt[i + 1] += c // 2  # exact: the sum is symmetric in j, n - j
+        polys[n + 1] = nxt
+    return tuple(polys[m])
+
+
+def _assert_page_matches_keel(m: int) -> None:
+    # The folded polynomial is Keel's, and row q = m-3+k of the first page
+    # has alternating sum (-1)^q b_2k along p (signs and weights in the
+    # spectral module docstring).
+    keel = _keel(m)
+    assert stratification_epoly_check(m).coefficients == keel, m
+    table = e1_table(m)
+    for k in range(m - 2):
+        q = m - 3 + k
+        total = sum((-1) ** p * table.dim(p, q) for p in range(-(m - 3), 1))
+        assert total == (-1) ** q * keel[k], (m, k)
+
+
 def test_e1_euler_characteristic_matches_epoly():
-    # row q = m-3+k of the first page computes the compact space's degree-2k
-    # cohomology after taking the alternating sum along p
-    for m in (4, 5, 6, 7):
-        table = e1_table(m)
-        poincare = stratification_epoly_check(m).coefficients
-        for k in range(m - 2):
-            q = m - 3 + k
-            total = sum((-1) ** p * table.dim(p, q)
-                        for p in range(-(m - 3), 1))
-            expected = (-1) ** (k - (m - 3)) * poincare[k]
-            assert total == expected, (m, k)
+    for m in range(4, 11):
+        _assert_page_matches_keel(m)
 
 
 def test_e1_table_to_max_leaves():
-    # the same row sums as above, at the sizes the table reaches beyond
-    # m = 10; one leaf more is out of range
+    # the same comparison at the sizes the table reaches beyond m = 10; one
+    # leaf more is out of range
     for m in (11, 12):
-        table = e1_table(m)
-        poincare = stratification_epoly_check(m).coefficients
-        for k in range(m - 2):
-            total = sum((-1) ** p * table.dim(p, m - 3 + k)
-                        for p in range(-(m - 3), 1))
-            assert total == (-1) ** (k - (m - 3)) * poincare[k], (m, k)
+        _assert_page_matches_keel(m)
     with pytest.raises(OutOfRange):
         e1_table(13)
 
