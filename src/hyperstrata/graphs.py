@@ -186,12 +186,15 @@ def _vertex_adjacency(g: Graph, owner: Mapping[Flag, int] | None = None
     return adj
 
 
-def _spanning_tree(adj: list[list[int]], root: int = 0
+def _spanning_tree(adj: list[list[int]], root: int = 0,
+                   parent: list[int | None] | None = None
                    ) -> tuple[list[int], list[int | None]]:
     """Breadth-first search: the vertices reached from root in visiting
     order, and each one's parent (root is its own parent, unreached
-    vertices have None)."""
-    parent: list[int | None] = [None] * len(adj)
+    vertices have None).  A given parent list is filled in place, and the
+    vertices it already marks are not entered."""
+    if parent is None:
+        parent = [None] * len(adj)
     parent[root] = root
     order = [root]
     for v in order:
@@ -200,6 +203,14 @@ def _spanning_tree(adj: list[list[int]], root: int = 0
                 parent[u] = v
                 order.append(u)
     return order, parent
+
+
+def _components(adj: list[list[int]]) -> list[list[int]]:
+    """The connected components of a vertex adjacency: each one's vertices
+    sorted, the components in order of their least vertex."""
+    parent: list[int | None] = [None] * len(adj)
+    return [sorted(_spanning_tree(adj, v, parent)[0])
+            for v in range(len(adj)) if parent[v] is None]
 
 
 def is_connected(g: GraphLike) -> bool:
@@ -331,34 +342,19 @@ def contract_edges(g: GraphLike, edges_to_contract) -> GraphLike:
         if e not in edges:
             raise UnknownEdge(f"{sorted(e)} is not an edge of the graph")
 
-    parent = list(range(len(graph.vertices)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    # The chosen edges' vertex adjacency: its components are the clusters,
+    # and each edge is listed at both ends (a loop twice at its vertex).
     owner = _owner(graph.vertices)
-    for e in chosen:
-        f1, f2 = sorted(e)
-        a, b = find(owner[f1]), find(owner[f2])
-        if a != b:
-            parent[a] = b
-
-    clusters: dict[int, list[int]] = {}
-    for i in range(len(graph.vertices)):
-        clusters.setdefault(find(i), []).append(i)
-    internal_edges = Counter(find(owner[min(e)]) for e in chosen)
-
     dropped = {f for e in chosen for f in e}
+    inner: list[list[int]] = [[] for _ in graph.vertices]
+    for f in dropped:
+        inner[owner[f]].append(owner[graph.sigma[f]])
     new_parts, new_labels = [], []
-    for root, members in sorted(clusters.items()):
+    for members in _components(inner):
         flags = set().union(*(graph.vertices[i] for i in members)) - dropped
-        b1 = internal_edges[root] - len(members) + 1
-        label = sum(graph.genus_labels[i] for i in members) + b1
+        b1 = sum(len(inner[i]) for i in members) // 2 - len(members) + 1
         new_parts.append(flags)
-        new_labels.append(label)
+        new_labels.append(sum(graph.genus_labels[i] for i in members) + b1)
     sigma = {f: p for f, p in graph.sigma.items() if f not in dropped}
     result = Graph(sigma.keys(), sigma, new_parts, new_labels)
     return NumberedGraph(result, g.numbering) if numbered else result
@@ -547,14 +543,11 @@ def _searches(g: Graph, numbering: Mapping[Flag, int] | None,
     colors = _vertex_colors(g, numbering, pinned)
     components = [(adj, colors)]
     if len(_spanning_tree(adj)[0]) != len(adj):
-        components, seen = [], set()
-        for start in range(len(adj)):
-            if start not in seen:
-                idx = sorted(_spanning_tree(adj, start)[0])
-                seen.update(idx)
-                new = {v: i for i, v in enumerate(idx)}
-                components.append(([[new[u] for u in adj[v]] for v in idx],
-                                   [colors[v] for v in idx]))
+        components = []
+        for idx in _components(adj):
+            new = {v: i for i, v in enumerate(idx)}
+            components.append(([[new[u] for u in adj[v]] for v in idx],
+                               [colors[v] for v in idx]))
     out = []
     for a, c in components:
         tree = sum(map(len, a)) == 2 * (len(a) - 1)

@@ -42,8 +42,8 @@ from itertools import product
 from math import factorial, gcd, lcm
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
-from .errors import (MixedMultidegree, NotLyndon, OutOfRange, TooLarge,
-                     UnknownLetter)
+from .errors import (FormatError, MixedMultidegree, NotLyndon, OutOfRange,
+                     TooLarge, UnknownLetter)
 
 BracketExpr = Union[str, tuple]
 _Key = tuple  # ("w", word) or ("sq", word); word = tuple of letter indices
@@ -74,18 +74,22 @@ MAX_ORACLE_TOTAL = 12
 
 
 class GradedAlphabet:
-    """An ordered alphabet of single-character letters with Z/2 degrees."""
+    """An ordered alphabet of single-character letters with Z/2 degrees:
+    each letter's degree is an int, not a bool, taken mod 2."""
 
     __slots__ = ("letters", "degrees", "_index")
 
     def __init__(self, letters: Sequence[str], degree: Mapping[str, int]):
         self.letters = tuple(letters)
         if len(set(self.letters)) != len(self.letters):
-            raise ValueError("letters must be distinct")
+            raise FormatError("letters must be distinct")
         for x in self.letters:
             if not (isinstance(x, str) and len(x) == 1):
-                raise ValueError("letters must be single characters")
-        self.degrees = tuple(int(degree[x]) % 2 for x in self.letters)
+                raise FormatError("letters must be single characters")
+            if type(degree.get(x)) is not int:
+                raise OutOfRange(f"letter {x!r} needs an int degree, got "
+                                 f"{degree.get(x)!r}")
+        self.degrees = tuple(degree[x] % 2 for x in self.letters)
         self._index = {x: i for i, x in enumerate(self.letters)}
 
     def __len__(self) -> int:

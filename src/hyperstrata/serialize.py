@@ -186,10 +186,7 @@ def parse_alphabet(spec: str) -> GradedAlphabet:
             raise FormatError(f"bad parity {par!r}")
         letters.append(name)
         degree[name] = 1 if par in ("odd", "1") else 0
-    try:
-        return GradedAlphabet(tuple(letters), degree)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
+    return GradedAlphabet(tuple(letters), degree)
 
 
 def table_to_csv(table: SpectralTable) -> str:

@@ -470,9 +470,12 @@ def _weight_assignments(adj, total: int, only_good: bool
     order) hold aligned blocks of positions, and swapping them is an
     automorphism; so in the least vector of an orbit the earlier block
     does not exceed the later one, and the walk skips every vector where
-    it does.  For two sibling shape leaves this is w[earlier] <= w[later].
-    The first vector of each class is the least of its orbit, so it
-    always survives.
+    it does.  With the blocks starting at a and b, it refuses a weight at
+    position i of the later block exactly when it is below the weight at
+    the aligned position j = a + i - b and the blocks agree before j and
+    i.  For two sibling shape leaves this is w[earlier] <= w[later].  The
+    first vector of each class is the least of its orbit, so it always
+    survives.
     """
     order, parent, step, start = _walk_dp(adj, only_good)
     nv = len(order)
@@ -483,26 +486,24 @@ def _weight_assignments(adj, total: int, only_good: bool
         kids = [u for u in adj[v] if u != parent[v]]
         plane[v] = tuple(plane[u] for u in kids)
         size[v] += sum(size[u] for u in kids)
-    # rules[i]: (rule bit, the aligned vertex of the earlier block, whether
-    # position i opens its block), one per block holding position i.
-    rules: list[list] = [[] for _ in range(nv)]
-    bit = 0
+    # twins[i]: (a, b) for each later twin block holding position i, where
+    # a and b are the start positions of the earlier and the later block.
+    twins: list[list] = [[] for _ in range(nv)]
     for v in order:
         latest: dict = {}
         for u in sorted((u for u in adj[v] if u != parent[v]),
                         key=pos.__getitem__):
             twin = latest.get(plane[u])
             latest[plane[u]] = u
-            if twin is None:
-                continue
-            a, b = pos[twin] - size[u] + 1, pos[u] - size[u] + 1
-            for j in range(size[u]):
-                rules[b + j].append((bit, order[a + j], j == 0))
-            bit += 1
-    w = [0] * nv
+            if twin is not None:
+                a, b = pos[twin] - size[u] + 1, pos[u] - size[u] + 1
+                for i in range(b, b + size[u]):
+                    twins[i].append((a, b))
+    # The weights by vertex (the vector) and by position (for the rule).
+    w, at = [0] * nv, [0] * nv
     out: list[tuple[int, ...]] = []
 
-    def rec(i: int, remaining: int, state: tuple, tied: int) -> None:
+    def rec(i: int, remaining: int, state: tuple) -> None:
         v = order[i]
         if i == nv - 1:
             w[v] = remaining
@@ -515,18 +516,16 @@ def _weight_assignments(adj, total: int, only_good: bool
             lo, nxt, rest = options[(wv + odd) & 1]
             if wv < lo or wv > remaining - rest:
                 continue
-            t = tied
-            for bit, mate, opens in rules[i]:
-                if opens or t >> bit & 1:
-                    if wv < w[mate]:
-                        break
-                    t = t | 1 << bit if wv == w[mate] else t & ~(1 << bit)
+            for a, b in twins[i]:
+                j = a + i - b
+                if wv < at[j] and at[a:j] == at[b:i]:
+                    break
             else:
-                w[v] = wv
-                rec(i + 1, remaining - wv, nxt, t)
+                w[v] = at[i] = wv
+                rec(i + 1, remaining - wv, nxt)
 
     if step(0, start)[0] <= total:
-        rec(0, total, start, 0)
+        rec(0, total, start)
     return out
 
 

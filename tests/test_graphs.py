@@ -202,6 +202,36 @@ def test_contract_genus_invariance_exhaustive(numbered):
                 assert genus(c) == expected
 
 
+def test_contraction_composes(numbered):
+    # Contracting S1 and then S2 gives the graph that contracting S1 | S2
+    # at once gives, for every split of every subset of at most three
+    # edges.  The vertex labels carry the contracted genus, so a label on
+    # the wrong merged vertex shows here though the total genus does not
+    # change.
+    pool = list(numbered(6)[:60])
+    pool += [pushforward(c.annotated()) for c in unnumbered_classes(8)]
+    # Two components: a triple bond, and a vertex with a loop joined to one
+    # more vertex.
+    pool.append(Graph(range(1, 14), {1: 2, 2: 1, 3: 4, 4: 3, 5: 6, 6: 5,
+                                     7: 8, 8: 7, 9: 10, 10: 9},
+                      [{1, 3, 5, 11}, {2, 4, 6, 12}, {7, 8, 9}, {10, 13}],
+                      [0, 1, 0, 2]))
+    splits = 0
+    for g in pool:
+        edges = _edge_pairs(g.graph if isinstance(g, NumberedGraph) else g)
+        for r in range(min(3, len(edges)) + 1):
+            for subset in itertools.combinations(edges, r):
+                whole = canonical_form(contract_edges(g, subset))
+                for mask in range(1 << r):
+                    s1 = [e for i, e in enumerate(subset) if mask >> i & 1]
+                    s2 = [e for i, e in enumerate(subset)
+                          if not mask >> i & 1]
+                    assert canonical_form(contract_edges(
+                        contract_edges(g, s1), s2)) == whole, (g, s1, s2)
+                    splits += 1
+    assert splits == 3113
+
+
 def _relabel(g: Graph, rng: random.Random) -> Graph:
     flags = sorted(g.flags)
     images = flags[:]

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hyperstrata import lie
-from hyperstrata.errors import (MixedMultidegree, NotLyndon, OutOfRange,
-                                TooLarge, UnknownLetter)
+from hyperstrata.errors import (FormatError, MixedMultidegree, NotLyndon,
+                                OutOfRange, TooLarge, UnknownLetter)
 from hyperstrata.lie import (
     MAX_EXPR_LETTERS,
     MAX_ORACLE_TOTAL,
@@ -270,6 +270,21 @@ def test_multidegree_counts_must_be_ints_over_the_letters():
         for f in calls:
             with pytest.raises(UnknownLetter):
                 f(AB, md)
+
+
+def test_alphabet_degrees_must_be_ints_and_letters_well_formed():
+    # A degree is an int, not a bool, a float, a string or missing, and is
+    # taken mod 2.  Repeated letters and letters that are not single
+    # characters are a FormatError, as in the CLI's alphabet spec.
+    assert GradedAlphabet(("a", "b"), {"a": -1, "b": 4}).degrees == (1, 0)
+    for d in (1.5, 2.7, True, "3", None):
+        with pytest.raises(OutOfRange):
+            GradedAlphabet(("a", "b"), {"a": d, "b": 0})
+    with pytest.raises(OutOfRange):
+        GradedAlphabet(("a", "b"), {"a": 1})
+    for letters in (("a", "a"), ("a", "bc"), ("a", 1)):
+        with pytest.raises(FormatError):
+            GradedAlphabet(letters, {"a": 1, "bc": 0, 1: 0})
 
 
 def _basis_elements(alphabet: GradedAlphabet, most: int) -> list:

@@ -587,12 +587,32 @@ def test_tree_centres_are_found_once_per_shape(monkeypatch):
     assert len(calls) == shapes
 
 
+def _swap_rule_holds(adj, w) -> bool:
+    """For every two sibling subtrees with equal plane encodings (children
+    in adjacency order), the earlier one's weights in postorder are not
+    lexicographically above the later one's."""
+    order, parent = _postorder(adj)
+    index = {v: i for i, v in enumerate(order)}
+    plane, below = {}, {}
+    for v in order:
+        kids = sorted((u for u in adj[v] if u != parent[v]),
+                      key=index.__getitem__)
+        plane[v] = tuple(plane[u] for u in adj[v] if u != parent[v])
+        below[v] = {v}.union(*(below[u] for u in kids))
+        blocks = [(plane[u], [w[x] for x in order if x in below[u]])
+                  for u in kids]
+        for (p1, w1), (p2, w2) in itertools.combinations(blocks, 2):
+            if p1 == p2 and w1 > w2:
+                return False
+    return True
+
+
 def _assert_walk_keeps_first_of_orbit(adj, n, only_good, every):
-    # The pruned walk yields a subsequence of every feasible vector, and it
-    # holds the first vector of each class on the shape.
+    # The pruned walk yields exactly the feasible vectors that keep the
+    # swap rule, in order, and so the first vector of each class on the
+    # shape.
     kept = _weight_assignments(adj, n, only_good)
-    rest = iter(every)
-    assert all(w in rest for w in kept)
+    assert kept == [w for w in every if _swap_rule_holds(adj, w)]
     firsts: dict[tuple, tuple] = {}
     for w in every:
         firsts.setdefault(_tree_search(adj, [(0, wv, ()) for wv in w])[0], w)
@@ -605,7 +625,7 @@ def test_weight_assignments_match_brute_force():
     # (the root last), and good when asked for (good needs n even).  A
     # vertex takes at most what the other vertices' minimums leave.  The
     # reference walk must give exactly these vectors, and the pruned walk
-    # the first of each class among them.
+    # those that keep the swap rule, the first of each class among them.
     for nv in range(1, 8):
         for adj in _tree_shapes(nv):
             order, _ = _postorder(adj)
