@@ -37,9 +37,9 @@ from .serialize import (
     table_to_csv,
 )
 from .trees import (
+    _numbered_trees,
     annotate,
     build_T_lg,
-    enumerate_trees,
     unnumbered_classes,
 )
 
@@ -104,9 +104,9 @@ def _cmd_enumerate(args) -> int:
             "orbit_size": c.orbit_size,
         } for c in classes)
     else:
-        trees = enumerate_trees(args.n, args.edges)
-        items = ({"graph": graph_to_json(t)} for t in trees)
-    # Each class is serialized as it is written: n = 9 has 660,032 of them.
+        items = ({"graph": graph_to_json(t)}
+                 for t in _numbered_trees(args.n, args.edges))
+    # Ranges are checked above, before --out opens; classes stream out.
     payload = {"format": ser.FORMAT, "n": args.n, "orbits": orbits}
     with _output(args.out) as fh:
         ser.dump_listing(fh, payload, "classes", items)

@@ -8,7 +8,7 @@ spectral certificate, and stratum dimensions.
 Numbered trees are generated through nested families of leaf splits: a tree
 with k edges corresponds to a laminar family of k proper subsets of the leaf
 set, and two numbered trees are isomorphic exactly when their split families
-agree.  This makes the numbered enumeration duplicate-free by construction.
+agree.  So listing the trees in family order lists each class once.
 
 Unnumbered classes are generated separately, from unlabelled tree shapes
 with leaf weights, so the two routes cross-check each other.  A shape grows
@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, count
 from math import factorial
-from operator import itemgetter
 from typing import Iterator, Optional
 
 from .errors import (
@@ -59,9 +58,9 @@ from .graphs import (
     graph_type,
 )
 
-# enumerate_trees grows like n!: n = 8 takes 1.5-1.8 s and 38 MB max RSS,
-# n = 9 takes 29 s and 390 MB (660,032 trees), and `enumerate --n 9` 103 s
-# and 391 MB; n = 10 would build 12,818,912.
+# enumerate_trees grows like n!: n = 8 takes 1.3 s and 29 MB max RSS, n = 9
+# 21 s and 221 MB (660,032 trees), and `enumerate --n 9`, which writes each
+# tree as it is made, 93 s and 18 MB; n = 10 would build 12,818,912.
 MAX_LEAVES_NUMBERED = 9
 MAX_LEAVES = 12
 # The goodness-pruned search stays small far beyond the full enumeration
@@ -277,21 +276,16 @@ def _numbered_tree(leaves, frame, pool: dict) -> NumberedGraph:
                                  numbering)
 
 
-def enumerate_trees(n: int, edge_count: Optional[int] = None
-                    ) -> list[NumberedGraph]:
-    """All isomorphism classes of stable numbered trees of type (0, n).
+def _numbered_trees(n: int, edge_count: Optional[int] = None
+                    ) -> Iterator[NumberedGraph]:
+    """enumerate_trees one tree at a time, range-checked at the call.
 
-    Exactly one representative per class, in a deterministic order (sorted
-    canonical forms); n <= MAX_LEAVES_NUMBERED, as the count grows like n!.
-
-    In the tree of a laminar family, vertex 0 is the root (the side of leaf
-    1) and vertex i+1 realizes split i, hung on its parent by edge i.  A
-    leaf goes to the smallest split containing it, so a vertex takes the
-    leaves of its split less its children's, read from a table of every
-    mask's leaves.  The adjacency, centres and frame (involution, edge
-    flags, labels, numbering) depend only on the parent links: one call
-    builds them once per parent-link tuple, and its trees share the frame
-    and each distinct vertex part.  The key comes from one tree walk.
+    In the tree of a family, vertex 0 is the root (the side of leaf 1) and
+    vertex i+1 realizes split i, hung on its parent by edge i.  A leaf goes
+    to the smallest split containing it, so a vertex takes the leaves of its
+    split less its children's, read from a table of every mask's leaves.
+    The trees of one parent-link tuple share one frame (involution, edge
+    flags, labels, numbering), and those of a call each distinct part.
     """
     if not 3 <= n <= MAX_LEAVES_NUMBERED:
         raise OutOfRange(f"leaf count {n} outside 3..{MAX_LEAVES_NUMBERED}")
@@ -299,27 +293,32 @@ def enumerate_trees(n: int, edge_count: Optional[int] = None
         raise OutOfRange(f"edge count {edge_count} outside 0..{n - 3}")
     leaves = [tuple(b + 2 for b in range(n - 1) if m >> b & 1)
               for m in range(1 << (n - 1))]
-    shapes: dict[tuple[int, ...], tuple] = {}
-    pool: dict[tuple[int, ...], tuple[int, ...]] = {}
-    keyed = []
-    for family, parents in _laminar_families(n, edge_count):
-        if parents not in shapes:
-            adj: list[list[int]] = [[]] + [[p] for p in parents]
+
+    def trees() -> Iterator[NumberedGraph]:
+        frames: dict[tuple[int, ...], tuple] = {}
+        pool: dict[tuple[int, ...], tuple[int, ...]] = {}
+        for family, parents in _laminar_families(n, edge_count):
+            if parents not in frames:
+                frames[parents] = _tree_frame(n, list(zip(parents, count(1))))
+            own = [len(leaves) - 1, *family]
             for i, p in enumerate(parents):
-                adj[p].append(i + 1)
-            shapes[parents] = (adj, _tree_centers(adj), _tree_frame(
-                n, [(p, i + 1) for i, p in enumerate(parents)]))
-        adj, centers, frame = shapes[parents]
-        own = [len(leaves) - 1, *family]
-        for i, p in enumerate(parents):
-            own[p] ^= family[i]
-        parts = [leaves[m] for m in own]
-        parts[0] = (1,) + parts[0]
-        enc = _tree_search(adj, [(0, 0, p) for p in parts], centers)[0]
-        keyed.append((_form_bytes(True, [("t", enc)]),
-                      _numbered_tree(parts, frame, pool)))
-    keyed.sort(key=itemgetter(0))
-    return [t for _, t in keyed]
+                own[p] ^= family[i]
+            parts = [leaves[m] for m in own]
+            parts[0] = (1,) + parts[0]
+            yield _numbered_tree(parts, frames[parents], pool)
+
+    return trees()
+
+
+def enumerate_trees(n: int, edge_count: Optional[int] = None
+                    ) -> list[NumberedGraph]:
+    """All isomorphism classes of stable numbered trees of type (0, n).
+
+    One representative per class, in the order _laminar_families yields the
+    families: by their increasing mask tuples, lexicographically.  n <=
+    MAX_LEAVES_NUMBERED, as the count grows like n!.
+    """
+    return list(_numbered_trees(n, edge_count))
 
 
 def orbit_representatives(trees: list[NumberedGraph]) -> list[StratumClass]:

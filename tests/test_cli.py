@@ -420,6 +420,17 @@ def test_out_flag_writes_file(capsys, tmp_path):
     assert json.loads(target.read_text())["passed"] is True
 
 
+def test_enumerate_range_errors_write_no_file(capsys, tmp_path):
+    # The numbered listing is streamed, so its range checks must run
+    # before --out is opened.
+    target = tmp_path / "out.json"
+    for argv in (("--n", "10"), ("--n", "5", "--edges", "3")):
+        code, out, err = run_cli(capsys, "enumerate", *argv,
+                                 "--out", str(target))
+        assert code == 2 and out == "" and "outside" in err
+        assert not target.exists()
+
+
 # --------------------------------------------------------------------------
 # Random command lines.
 # --------------------------------------------------------------------------

@@ -213,8 +213,9 @@ def test_pushforward_constant_on_orbits(numbered):
 
 def _pushforward_pool(numbered, orbits):
     # Every numbered (0, 6) tree, every class for even n = 6..12 and the
-    # star trees to genus 6.
-    pool = [annotate(t) for t in numbered(6)]
+    # star trees to genus 6.  The trees come in canonical-form order, the
+    # order the pinned digest was recorded in.
+    pool = [annotate(t) for t in sorted(numbered(6), key=canonical_form)]
     for n in range(6, 13, 2):
         pool += [c.annotated() for c in orbits(n)]
     pool += [build_T_lg(l, g) for g in range(2, 7) for l in range(g + 1)]

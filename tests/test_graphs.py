@@ -202,13 +202,36 @@ def test_contract_genus_invariance_exhaustive(numbered):
                 assert genus(c) == expected
 
 
+def _contracted_labels(g: Graph, edges) -> dict:
+    # Each cluster of vertices that the edges join, keyed by its flags left
+    # after contraction, with the genus of the subgraph the edges span on
+    # it: the label sum, plus the edge count, less the vertex count, plus 1.
+    owner = {f: v for v, part in enumerate(g.vertices) for f in part}
+    root = list(range(len(g.vertices)))
+    for f, p in edges:
+        a, b = root[owner[f]], root[owner[p]]
+        root = [a if r == b else r for r in root]
+    dropped = {f for e in edges for f in e}
+    out = {}
+    for c in set(root):
+        members = [v for v, r in enumerate(root) if r == c]
+        inner = sum(1 for f, _ in edges if root[owner[f]] == c)
+        flags = frozenset().union(*(g.vertices[v] for v in members))
+        out[flags - dropped] = (sum(g.genus_labels[v] for v in members)
+                                + inner - len(members) + 1)
+    return out
+
+
 def test_contraction_composes(numbered):
     # Contracting S1 and then S2 gives the graph that contracting S1 | S2
     # at once gives, for every split of every subset of at most three
     # edges.  The vertex labels carry the contracted genus, so a label on
     # the wrong merged vertex shows here though the total genus does not
-    # change.
-    pool = list(numbered(6)[:60])
+    # change; and each label of the one-step contraction is the genus of
+    # its cluster's contracted subgraph, read from the input graph, which
+    # catches a fault that is wrong the same way at every step.  The (0, 6)
+    # trees are the 60 with the least canonical forms.
+    pool = sorted(numbered(6), key=canonical_form)[:60]
     pool += [pushforward(c.annotated()) for c in unnumbered_classes(8)]
     # Two components: a triple bond, and a vertex with a loop joined to one
     # more vertex.
@@ -218,9 +241,14 @@ def test_contraction_composes(numbered):
                       [0, 1, 0, 2]))
     splits = 0
     for g in pool:
-        edges = _edge_pairs(g.graph if isinstance(g, NumberedGraph) else g)
+        graph = g.graph if isinstance(g, NumberedGraph) else g
+        edges = _edge_pairs(graph)
         for r in range(min(3, len(edges)) + 1):
             for subset in itertools.combinations(edges, r):
+                once = contract_edges(graph, subset)
+                assert dict(zip(map(frozenset, once.vertices),
+                                once.genus_labels)) == \
+                    _contracted_labels(graph, subset), (g, subset)
                 whole = canonical_form(contract_edges(g, subset))
                 for mask in range(1 << r):
                     s1 = [e for i, e in enumerate(subset) if mask >> i & 1]
@@ -310,7 +338,7 @@ def _pendant_tree(k: int) -> NumberedGraph:
 
 
 # SHA-256 of the concatenated canonical bytes of four graph families.  The
-# bytes order the CLI's enumerate output and key stored classes, so a faster
+# bytes order the CLI's class listings and key stored classes, so a faster
 # kernel must reproduce them exactly.
 PINNED_CANONICAL_SHA = {
     "trees6": "91add1421ced7e8d1bd383bd70a74ed2db953185ca487ad732b1483284e302d9",
@@ -324,9 +352,11 @@ def test_canonical_bytes_are_pinned(numbered):
     from hyperstrata.covers import pushforward
     from hyperstrata.trees import annotate, unnumbered_classes
 
+    # The numbered trees come in family order; the digests were recorded
+    # over them in canonical-form order.
     families = {
-        "trees6": numbered(6),
-        "trees7": numbered(7),
+        "trees6": sorted(numbered(6), key=canonical_form),
+        "trees7": sorted(numbered(7), key=canonical_form),
         "images10": [pushforward(c.annotated())
                      for c in unnumbered_classes(10)],
         "pendants": [pushforward(annotate(_pendant_tree(k)))

@@ -236,24 +236,26 @@ def _cut_masks(t: NumberedGraph) -> list[int]:
 
 
 def test_family_trees_cut_their_splits_and_key_on_their_form(numbered):
-    # The canonical forms of the enumerated trees strictly increase (n <= 8),
-    # so the key the enumeration sorts on is the canonical form and no class
-    # comes twice; and the edges of the trees cut off exactly the laminar
-    # families' splits (n <= 7).
+    # The canonical forms of the enumerated trees are pairwise distinct
+    # (n <= 8), so no class comes twice; and the trees come in family
+    # order: their edges cut off exactly the splits of the families that
+    # _laminar_families yields, in its order (n <= 7).
     for n in range(3, 9):
         forms = [canonical_form(t) for t in numbered(n)]
-        assert all(a < b for a, b in zip(forms, forms[1:]))
+        assert len(set(forms)) == len(forms)
         if n <= 7:
-            assert {tuple(_cut_masks(t)) for t in numbered(n)} == \
-                {tuple(sorted(family)) for family, _ in _laminar_families(n)}
+            assert [tuple(_cut_masks(t)) for t in numbered(n)] == \
+                [family for family, _ in _laminar_families(n)]
 
 
-def test_enumeration_finds_centres_once_per_parent_links(numbered):
+def test_enumeration_builds_one_frame_per_parent_links(numbered):
     # The 39,208 families of n = 8 have 85 distinct parent-link tuples, and
-    # the centres (with the adjacency and edge ends) depend only on those.
-    # The session build counts its centre calls.
-    assert len(numbered(8)) == 39208
-    assert numbered.centre_calls[(8, None)] == 85
+    # the frame (involution, edge flags, labels, numbering) depends only on
+    # those: one is built per tuple.  Involutions of equal edge count are
+    # equal, so they are told apart by identity.
+    trees = numbered(8)
+    assert len(trees) == 39208
+    assert len({id(t.graph.sigma) for t in trees}) == 85
 
 
 def test_enumerated_vertex_parts_are_untracked():
